@@ -271,16 +271,12 @@ def propagate_from_centers(d: FaceDrawing, seed_vertex: int, seed_value) -> Circ
             raise DegenerateReflectionLine("coincident centres across edge %d" % eid)
         return a, b, shifts[k], shifts[k + 1]
 
-    inc: Dict[int, List[int]] = {v: [] for v in g.vertex_color}
-    for eid, e in g.edges.items():
-        inc[e.minus].append(eid)
-        inc[e.plus].append(eid)
-
+    inc = g.vertex_edges()
     values: Dict[int, object] = {seed_vertex: complex(seed_value)}
     queue = [seed_vertex]
     while queue:
         v = queue.pop(0)
-        for eid in sorted(inc[v]):
+        for eid in inc[v]:
             ctx = edge_context(eid)
             if ctx is None:
                 continue
@@ -422,7 +418,8 @@ def miquel_move_full(p: CirclePattern, f: int):
     slots = _quad_slots(g, f)
     shifts = g.face_shifts(f)
     cf = p.center_points[f]
-    cd = p.centers_drawing()
+    # the centre dict is only read here, so it is shared, not copied
+    cd = FaceDrawing(g, p.center_points, p.periods)
     n_centers = [cd.slot_value(f, k) for k in range(4)]
     for k in range(4):
         if close(n_centers[k], n_centers[(k + 1) % 4]):
@@ -442,7 +439,7 @@ def miquel_move_full(p: CirclePattern, f: int):
     new_center_old_frame = circle_center_of(new_circle)
 
     g2, rec = mutate_at_face(g, f)
-    new_vertices = dict(p.vertex_points)
+    new_vertices = p.vertex_points.copy()
     for k, (u, _leg) in rec.deleted.items():
         del new_vertices[u]
     for k in range(4):
@@ -460,7 +457,7 @@ def miquel_move_full(p: CirclePattern, f: int):
                     "second intersection at corner %d misses the leg vertex" % k
                 )
 
-    new_centers = dict(p.center_points)
+    new_centers = p.center_points.copy()
     new_centers[f] = new_center_old_frame
     for fid, delta in rec.anchor_shift.items():
         c = new_centers[fid]

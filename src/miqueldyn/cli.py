@@ -23,8 +23,8 @@ from .dimer import urban_renewal_check, weights_from_pattern
 from .errors import MiquelDynError, NumericDegeneracy, SchemaError, UsageError
 from .jsonio import (canonical_dumps, circle_from_json, clifford_config_to_json,
                      complex_from_json, complex_to_json, drawing_to_json,
-                     pattern_from_json, pattern_to_json, read_json,
-                     write_json_atomic, write_text_atomic)
+                     open_text_atomic, pattern_from_json, pattern_to_json,
+                     read_json, write_json_atomic, write_text_atomic)
 from .lattice import (generate_kasteleyn_cauchy_data, make_torus_state,
                       miquel_dynamics_step)
 from .svg import DEFAULT_LAYERS, pattern_to_svg
@@ -163,21 +163,23 @@ def _cmd_dynamics(args):
                                            spread=args.spread)
     state = make_torus_state(p, rows, cols)
     os.makedirs(args.out, exist_ok=True)
-    trace = [pattern_to_json(state.pattern)]
     files = []
 
-    def dump(index: int, blob) -> None:
+    def dump(index: int, pattern) -> str:
+        text = canonical_dumps(pattern_to_json(pattern))
         name = "pattern_%03d.json" % index
-        write_json_atomic(os.path.join(args.out, name), blob)
+        write_text_atomic(os.path.join(args.out, name), text + "\n")
         files.append(name)
+        return text
 
-    dump(0, trace[0])
-    for step in range(1, args.steps + 1):
-        state = miquel_dynamics_step(state)
-        blob = pattern_to_json(state.pattern)
-        trace.append(blob)
-        dump(step, blob)
-    write_json_atomic(os.path.join(args.out, "trace.json"), trace)
+    # each step is serialised once: the text goes to its own file and is
+    # streamed into trace.json, which appears only when every step is done
+    with open_text_atomic(os.path.join(args.out, "trace.json")) as trace:
+        trace.write("[" + dump(0, state.pattern))
+        for step in range(1, args.steps + 1):
+            state = miquel_dynamics_step(state)
+            trace.write("," + dump(step, state.pattern))
+        trace.write("]\n")
     files.append("trace.json")
     report = {
         "command": "dynamics",

@@ -50,10 +50,6 @@ class OddDimensions(MiquelDynError):
     pass
 
 
-class DegreeBoundViolation(MiquelDynError):
-    pass
-
-
 # circle patterns
 
 class InvalidFace(MiquelDynError):

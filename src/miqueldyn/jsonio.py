@@ -6,11 +6,12 @@ trip a double), the point at infinity as the string "inf".  Files are
 written atomically so a crashed run never leaves a half-written file.
 """
 
+import contextlib
 import json
 import math
 import os
 import tempfile
-from typing import Dict, List
+from typing import Dict, Iterator, List, TextIO
 
 from .circle_pattern import CirclePattern, FaceDrawing
 from .errors import SchemaError
@@ -54,17 +55,25 @@ def canonical_dumps(obj) -> str:
     raise SchemaError("cannot serialize %r" % type(obj))
 
 
-def write_text_atomic(path: str, text: str) -> None:
+@contextlib.contextmanager
+def open_text_atomic(path: str) -> Iterator[TextIO]:
+    """A text handle whose contents replace path only once the block
+    exits normally; on an exception path is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    with open_text_atomic(path) as handle:
+        handle.write(text)
 
 
 def write_json_atomic(path: str, obj) -> None:

@@ -11,12 +11,19 @@ Torus graphs carry per-edge integer offsets: the universal-cover shift of
 the plus end relative to the minus end in period units.  Offsets around
 every face walk sum to zero (faces are disks).  All lift bookkeeping for
 circle patterns reduces to accumulating these offsets along walks.
+
+Graphs are immutable values.  Their incidence maps (which faces lie on
+either side of an edge, where a step sits in its walk, the edges at a
+vertex, the cover shifts along each walk) are built once per graph, on
+first use; mutate_at_face hands the new graph copies of the old graph's
+maps with only the entries around the moved face redone, so a move
+costs no whole-graph rebuild.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import NotAValidQuad, OddDimensions
 
@@ -45,13 +52,30 @@ class Edge:
     offset: Offset = _ZERO
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceGraph:
+    """An immutable surface graph with memoised incidence maps.
+
+    The incidence maps (edge_sides, step_index, vertex_edges,
+    vertex_degrees and the per-face face_shifts) are built on first use
+    or handed over by mutate_at_face, and are never mutated after
+    construction: callers must treat them as read-only.  The memo stays
+    out of ==, repr and dataclasses.replace, which starts a fresh one.
+    """
+
     surface: str  # "sphere" | "torus" | "plane-patch"
     vertex_color: Dict[int, int]
     edges: Dict[int, Edge]
     faces: Dict[int, Tuple[Step, ...]]
     boundary_faces: frozenset = field(default_factory=frozenset)
+    _maps: Dict[str, dict] = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
+
+    def _memo(self, name: str, build: Callable[[], dict]) -> dict:
+        m = self._maps.get(name)
+        if m is None:
+            m = self._maps[name] = build()
+        return m
 
     # -- elementary lookups ------------------------------------------------
 
@@ -79,19 +103,36 @@ class SurfaceGraph:
 
         Entry len(walk) closes back to (0, 0) on consistent graphs.
         """
-        shifts = [_ZERO]
-        for s in self.faces[f]:
-            shifts.append(_oadd(shifts[-1], self.step_offset(s)))
-        return shifts
+        return self._memo("face_shifts", self._build_face_shifts)[f]
 
     def vertex_degrees(self) -> Dict[int, int]:
+        return self._memo("vertex_degrees", self._build_vertex_degrees)
+
+    def vertex_edges(self) -> Dict[int, List[int]]:
+        """Incident edge ids per vertex, sorted."""
+        return self._memo("vertex_edges", self._build_vertex_edges)
+
+    def step_index(self) -> Dict[Step, Tuple[int, int]]:
+        """(edge, flag) -> (face, walk position).  Each key appears once."""
+        return self._memo("step_index", self._build_step_index)
+
+    def edge_sides(self) -> Dict[int, Dict[bool, int]]:
+        """edge -> {forward flag: face traversing the edge that way}."""
+        return self._memo("edge_sides", self._build_edge_sides)
+
+    # -- incidence builders ------------------------------------------------
+
+    def _build_face_shifts(self) -> Dict[int, List[Offset]]:
+        return {fid: _walk_shifts(self.edges, walk) for fid, walk in self.faces.items()}
+
+    def _build_vertex_degrees(self) -> Dict[int, int]:
         deg = {v: 0 for v in self.vertex_color}
         for e in self.edges.values():
             deg[e.minus] += 1
             deg[e.plus] += 1
         return deg
 
-    def vertex_edges(self) -> Dict[int, List[int]]:
+    def _build_vertex_edges(self) -> Dict[int, List[int]]:
         inc = {v: [] for v in self.vertex_color}
         for eid in sorted(self.edges):
             e = self.edges[eid]
@@ -99,38 +140,27 @@ class SurfaceGraph:
             inc[e.plus].append(eid)
         return inc
 
-    def step_index(self) -> Dict[Step, Tuple[int, int]]:
-        """(edge, flag) -> (face, walk position).  Each key appears once."""
+    def _build_step_index(self) -> Dict[Step, Tuple[int, int]]:
         idx = {}
         for fid, walk in self.faces.items():
             for p, s in enumerate(walk):
                 idx[s] = (fid, p)
         return idx
 
-    def edge_sides(self) -> Dict[int, Dict[bool, int]]:
+    def _build_edge_sides(self) -> Dict[int, Dict[bool, int]]:
         sides: Dict[int, Dict[bool, int]] = {}
         for fid, walk in self.faces.items():
             for (eid, fwd) in walk:
                 sides.setdefault(eid, {})[fwd] = fid
         return sides
 
-    def dual_edge(self, eid: int) -> Tuple[int, int]:
-        """Dual edge (from-face, to-face): forward traverser first."""
-        sides = self.edge_sides()[eid]
-        return sides[True], sides[False]
 
-    def neighbor_across(self, f: int, step: Step) -> int:
-        eid, fwd = step
-        return self.edge_sides()[eid][not fwd]
-
-    def copy(self) -> "SurfaceGraph":
-        return SurfaceGraph(
-            surface=self.surface,
-            vertex_color=dict(self.vertex_color),
-            edges=dict(self.edges),
-            faces={f: tuple(w) for f, w in self.faces.items()},
-            boundary_faces=frozenset(self.boundary_faces),
-        )
+def _walk_shifts(edges: Dict[int, Edge], walk: Tuple[Step, ...]) -> List[Offset]:
+    shifts = [_ZERO]
+    for (eid, fwd) in walk:
+        o = edges[eid].offset
+        shifts.append(_oadd(shifts[-1], o if fwd else _oneg(o)))
+    return shifts
 
 
 # -- validation -------------------------------------------------------------
@@ -431,8 +461,8 @@ def mutate_at_face(g: SurfaceGraph, f: int) -> Tuple[SurfaceGraph, MutationRecor
     corners = [g.step_end(s) for s in walk]
     corner_shift_old = {k: shifts[k + 1] for k in range(4)}
 
-    new_vc = dict(g.vertex_color)
-    new_edges = dict(g.edges)
+    new_vc = g.vertex_color.copy()
+    new_edges = g.edges.copy()
     next_vid = max(g.vertex_color) + 1
     next_eid = max(g.edges) + 1
 
@@ -513,8 +543,8 @@ def mutate_at_face(g: SurfaceGraph, f: int) -> Tuple[SurfaceGraph, MutationRecor
         eid = new_leg[k]
         return (eid, new_edges[eid].minus == start)
 
-    new_faces = {fid: list(w) for fid, w in g.faces.items()}
-    new_faces[f] = list(quad_step_f)
+    new_faces = g.faces.copy()
+    new_faces[f] = tuple(quad_step_f)
     anchor_shift: Dict[int, Offset] = {f: tau[3]}
 
     # splice each distinct neighbour's walk once
@@ -560,15 +590,19 @@ def mutate_at_face(g: SurfaceGraph, f: int) -> Tuple[SurfaceGraph, MutationRecor
             rebuilt.extend(r)
             p = s + l
         rebuilt.extend(rotated[p:ln])
-        new_faces[n] = rebuilt
+        new_faces[n] = tuple(rebuilt)
 
     out = SurfaceGraph(
         surface=g.surface,
         vertex_color=new_vc,
         edges=new_edges,
-        faces={fid: tuple(w) for fid, w in new_faces.items()},
-        boundary_faces=frozenset(g.boundary_faces),
+        faces=new_faces,
+        boundary_faces=g.boundary_faces,
     )
+    _carry_incidence(g, out, [f, *by_face],
+                     set(quad_eids) | {leg for (_, leg) in deleted.values()},
+                     quad_new + list(new_leg.values()),
+                     [u for (u, _) in deleted.values()])
     rec = MutationRecord(
         face=f,
         slots=tuple(slots),
@@ -583,6 +617,56 @@ def mutate_at_face(g: SurfaceGraph, f: int) -> Tuple[SurfaceGraph, MutationRecor
         anchor_shift=anchor_shift,
     )
     return out, rec
+
+
+def _carry_incidence(g: SurfaceGraph, out: SurfaceGraph, touched: List[int],
+                     removed: set, added: List[int], dropped: List[int]) -> None:
+    """Give out, the mutation of g, its incidence maps: copies of g's with
+    only the entries of the touched faces, the removed and added edges
+    and the vertices at their ends redone.  g's maps stay as they are.
+    mutate_at_face has built all of g's maps before it calls this."""
+    # dict.copy clones the hash table; dict(m) would rehash every key of a
+    # map that has seen deletions, as these have after the first move
+    sides = g._maps["edge_sides"].copy()
+    sidx = g._maps["step_index"].copy()
+    shifts = g._maps["face_shifts"].copy()
+    inc = g._maps["vertex_edges"].copy()
+    deg = g._maps["vertex_degrees"].copy()
+    for eid in removed:
+        del sides[eid]
+    for fid in touched:
+        for s in g.faces[fid]:
+            del sidx[s]
+    new_eids = set(added)
+    for fid in touched:
+        walk = out.faces[fid]
+        for p, s in enumerate(walk):
+            sidx[s] = (fid, p)
+            if s[0] in new_eids:
+                # a fresh inner map, so g's entries are never written
+                sides.setdefault(s[0], {})[s[1]] = fid
+        shifts[fid] = _walk_shifts(out.edges, walk)
+
+    for v in dropped:
+        del inc[v]
+        del deg[v]
+    ends: Dict[int, List[int]] = {}
+    for eid in removed:
+        e = g.edges[eid]
+        ends.setdefault(e.minus, [])
+        ends.setdefault(e.plus, [])
+    for eid in added:
+        e = out.edges[eid]
+        ends.setdefault(e.minus, []).append(eid)
+        ends.setdefault(e.plus, []).append(eid)
+    for v in sorted(ends):  # inserted vertices come last, in id order
+        if v not in out.vertex_color:
+            continue
+        kept = [eid for eid in inc.get(v, ()) if eid not in removed]
+        inc[v] = sorted(kept + ends[v])
+        deg[v] = len(inc[v])
+    out._maps.update(edge_sides=sides, step_index=sidx, face_shifts=shifts,
+                     vertex_edges=inc, vertex_degrees=deg)
 
 
 def slot_alignment(g: SurfaceGraph, f: int, k: int) -> Offset:

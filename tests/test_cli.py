@@ -9,7 +9,8 @@ import pytest
 
 import miqueldyn
 from miqueldyn.cli import run_command
-from miqueldyn.jsonio import (drawing_from_json, pattern_from_json, read_json)
+from miqueldyn.jsonio import (canonical_dumps, drawing_from_json, pattern_from_json,
+                              read_json)
 from miqueldyn.circle_pattern import validate_pattern
 
 
@@ -112,6 +113,14 @@ def test_dynamics_trace(tmp_path):
         assert validate_pattern(p) == []
         step = read_json(str(tmp_path / "run" / ("pattern_%03d.json" % i)))
         assert step == blob
+    # trace.json is the canonical list of the step texts, byte for byte
+    steps = [(tmp_path / "run" / ("pattern_%03d.json" % i)).read_bytes()
+             for i in range(3)]
+    for raw, blob in zip(steps, trace):
+        assert raw == canonical_dumps(blob).encode() + b"\n"
+    raw = (tmp_path / "run" / "trace.json").read_bytes()
+    assert raw == b"[" + b",".join(s[:-1] for s in steps) + b"]\n"
+    assert sorted(os.listdir(out)) == report["files"]
 
 
 def test_dynamics_from_pattern_file(tmp_path, pattern_file):

@@ -9,7 +9,8 @@ from miqueldyn.geometry import Circle, INFINITY
 from miqueldyn.jsonio import (canonical_dumps, circle_from_json, circle_to_json,
                               complex_from_json, complex_to_json, drawing_from_json,
                               drawing_to_json, graph_from_json, graph_to_json,
-                              patch_from_json, patch_to_json, pattern_from_json,
+                              open_text_atomic, patch_from_json, patch_to_json,
+                              pattern_from_json,
                               pattern_to_json, read_json, weights_from_json,
                               weights_to_json, write_json_atomic)
 from miqueldyn.lattice import OctahedralPatch, generate_kasteleyn_cauchy_data
@@ -150,4 +151,19 @@ def test_atomic_write_and_read(tmp_path):
     raw = target.read_bytes()
     assert raw.endswith(b"\n")
     assert read_json(str(target)) == json.loads(raw.decode())
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_streamed_atomic_write_replaces_only_on_success(tmp_path):
+    target = tmp_path / "trace.json"
+    with open_text_atomic(str(target)) as handle:
+        handle.write("[1")
+        assert not target.exists()
+        handle.write(",2]\n")
+    assert target.read_text() == "[1,2]\n"
+    with pytest.raises(RuntimeError):
+        with open_text_atomic(str(target)) as handle:
+            handle.write("[3")
+            raise RuntimeError("step failed")
+    assert target.read_text() == "[1,2]\n"
     assert list(tmp_path.iterdir()) == [target]

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import pytest
 
 from conftest import (
@@ -5,7 +8,9 @@ from conftest import (
     build_cube,
     build_quad_sphere,
 )
+from miqueldyn.circle_pattern import miquel_move
 from miqueldyn.errors import NotAValidQuad, OddDimensions
+from miqueldyn.lattice import generate_kasteleyn_cauchy_data
 from miqueldyn.surface_graph import (
     Edge,
     SurfaceGraph,
@@ -71,8 +76,9 @@ def test_validation_catches_orientation_and_bipartiteness():
 
 def test_validation_catches_euler_mismatch():
     g = build_square_grid_torus(2, 2)
-    g.surface = "sphere"
-    g.edges = {e: Edge(ed.minus, ed.plus) for e, ed in g.edges.items()}
+    g = dataclasses.replace(
+        g, surface="sphere",
+        edges={e: Edge(ed.minus, ed.plus) for e, ed in g.edges.items()})
     diags = validate_surface_graph(g)
     assert any("Euler characteristic" in d for d in diags)
 
@@ -239,3 +245,79 @@ def test_slot_alignment_matches_grid_geometry():
             t = slot_alignment(g, f, k)
             lifted = centers[n] + t[0] * periods[0] + t[1] * periods[1]
             assert lifted == centers[f] + direction[k]
+
+
+# -- incidence maps: built once, carried across mutation ---------------------
+
+INCIDENCE_MAPS = {"edge_sides", "step_index", "vertex_edges",
+                  "vertex_degrees", "face_shifts"}
+
+
+def incidence(g):
+    return (g.edge_sides(), g.step_index(), g.vertex_edges(),
+            g.vertex_degrees(), {f: g.face_shifts(f) for f in g.faces})
+
+
+def assert_carried_maps_match_rebuild(g):
+    # every map was handed over by mutate_at_face, none built on demand
+    assert set(g._maps) == INCIDENCE_MAPS
+    assert incidence(g) == incidence(dataclasses.replace(g))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_carried_incidence_matches_rebuild_over_sweeps(seed):
+    rows = cols = 8
+    p = generate_kasteleyn_cauchy_data(rows, cols, seed=seed, spread=0.5)
+    parity = grid_face_parity(rows, cols)
+    for sweep in range(3):
+        for f in sorted(fid for fid, par in parity.items() if par == sweep % 2):
+            p = miquel_move(p, f)
+            assert_carried_maps_match_rebuild(p.graph)
+    assert validate_surface_graph(p.graph) == []
+
+
+def test_carried_incidence_matches_rebuild_on_sphere_and_patch():
+    cube = build_cube()
+    for f in cube.faces:
+        g1, _ = mutate_at_face(cube, f)  # delete case at all four corners
+        assert_carried_maps_match_rebuild(g1)
+        g2, _ = mutate_at_face(g1, f)  # and back: insert case
+        assert_carried_maps_match_rebuild(g2)
+    g = build_quad_sphere()
+    with pytest.raises(NotAValidQuad):
+        mutate_at_face(g, 0)
+    assert incidence(g) == incidence(dataclasses.replace(g))
+    patch = build_square_grid_patch(4, 4)
+    for f in (5, 6, 9, 10):
+        g1, _ = mutate_at_face(patch, f)
+        assert_carried_maps_match_rebuild(g1)
+    # one leg, then two legs deleted at once
+    t1, _ = mutate_at_face(build_square_grid_torus(4, 4), 5)
+    t2, _ = mutate_at_face(t1, 0)
+    assert_carried_maps_match_rebuild(t2)
+    t3, _ = mutate_at_face(mutate_at_face(t1, 7)[0], 10)
+    assert_carried_maps_match_rebuild(t3)
+
+
+def test_mutation_leaves_the_old_graph_maps_unchanged():
+    for g, f in ((build_square_grid_torus(4, 4), 5), (build_cube(), 0),
+                 (build_square_grid_patch(4, 4), 5)):
+        before = copy.deepcopy(incidence(g))
+        g2, _ = mutate_at_face(g, f)
+        g3, _ = mutate_at_face(g2, f)
+        assert incidence(g) == before
+        assert incidence(g) == incidence(dataclasses.replace(g))
+        assert incidence(g2) == incidence(dataclasses.replace(g2))
+
+
+def test_surface_graph_is_immutable():
+    g = build_square_grid_torus(2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.surface = "sphere"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.faces = {}
+    g.edge_sides()
+    # the memo is not part of the value
+    fresh = dataclasses.replace(g)
+    assert fresh == g and not fresh._maps and g._maps
+    assert repr(fresh) == repr(g) and "_maps" not in repr(g)
