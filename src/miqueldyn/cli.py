@@ -7,6 +7,7 @@ failure, 2 numeric degeneracy, 64 usage error.
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -367,6 +368,9 @@ def run_command(argv: Optional[List[str]] = None) -> CommandResult:
         return CommandResult(64, _render(report, as_json))
     except NumericDegeneracy as err:
         report = {"error": type(err).__name__, "message": str(err)}
+        # JSON holds no NaN or infinity, so a non-finite number is left out
+        report.update((k, v) for k, v in err.fields().items()
+                      if not (isinstance(v, float) and not math.isfinite(v)))
         return CommandResult(2, _render(report, as_json))
     except MiquelDynError as err:
         report = {"error": type(err).__name__, "message": str(err)}

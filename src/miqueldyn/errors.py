@@ -11,7 +11,28 @@ class MiquelDynError(Exception):
 
 
 class NumericDegeneracy(MiquelDynError):
-    """Input is structurally fine but geometrically degenerate."""
+    """Input is structurally fine but geometrically degenerate.
+
+    A raiser that measured the degeneracy says where and by how much in
+    keyword fields: face (the face id), residual (the measured quantity),
+    tolerance (the bound it crossed) and scale (the length that residual
+    and tolerance are relative to).  Fields not given stay None.
+    """
+
+    FIELDS = ("face", "residual", "tolerance", "scale")
+
+    def __init__(self, *args, face=None, residual=None, tolerance=None,
+                 scale=None):
+        super().__init__(*args)
+        self.face = face
+        self.residual = residual
+        self.tolerance = tolerance
+        self.scale = scale
+
+    def fields(self) -> dict:
+        """The fields that were given, by name."""
+        return {k: getattr(self, k) for k in self.FIELDS
+                if getattr(self, k) is not None}
 
 
 # geometry

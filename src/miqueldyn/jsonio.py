@@ -29,6 +29,10 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+# json.dumps quotes a string this way (ensure_ascii) after a slower setup
+_quote = json.encoder.encode_basestring_ascii
+
+
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, %.17g floats."""
     if obj is None:
@@ -38,7 +42,7 @@ def canonical_dumps(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, int):
         return repr(obj)
     if isinstance(obj, float):
@@ -49,7 +53,7 @@ def canonical_dumps(obj) -> str:
         for k in obj:
             if not isinstance(k, str):
                 raise SchemaError("canonical JSON keys must be strings")
-        items = ("%s:%s" % (json.dumps(k), canonical_dumps(obj[k]))
+        items = ("%s:%s" % (_quote(k), canonical_dumps(obj[k]))
                  for k in sorted(obj))
         return "{" + ",".join(items) + "}"
     raise SchemaError("cannot serialize %r" % type(obj))

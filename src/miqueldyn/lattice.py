@@ -11,20 +11,30 @@ it by the mutation map of its four ring values
 Two full consecutive levels (the Cauchy data) determine everything
 above them on a window that loses one ring per level.  A Miquel
 dynamics step on a torus pattern is the same equation applied to the
-centers of every face of one parity class.
+centers of every face of one parity class: the centres of the circles
+form a Clifford lattice.  So on the square-grid torus the centres are
+the whole state, and miquel_dynamics_step is one array recurrence over
+them; vertices are reflected out of one anchor vertex only when a
+pattern is read.  The graph-level miquel_move stays the reference for
+single moves and the oracle the sweep is tested against.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .circle_pattern import CirclePattern, miquel_move, validate_pattern
+from .circle_pattern import CirclePattern, FaceDrawing, validate_pattern
 from .errors import (
     ConsecutiveCoincidence,
+    ConstructionFailure,
+    DegenerateMap,
     DegenerateRow,
+    InfiniteCenter,
     MiquelDynError,
+    MonodromyFailure,
     OctahedronRelationFailure,
     StencilDegenerate,
     WindowExhausted,
@@ -37,7 +47,7 @@ from .geometry import (
     mobius_mutation,
     star_ratio,
 )
-from .surface_graph import build_square_grid_torus, grid_face_parity
+from .surface_graph import _oadd, _osub, build_square_grid_torus, slot_alignment
 
 LatticePoint = Tuple[int, int, int]
 Box = Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]
@@ -219,44 +229,321 @@ def torus_displacement(a, b, periods) -> float:
     return abs(diff - round(s) * ox - round(t) * oy)
 
 
-@dataclass
-class TorusPatternState:
-    """A torus pattern plus the face parity class that moves next."""
+# -- Miquel dynamics on the square-grid torus ------------------------------
 
-    pattern: CirclePattern
-    rows: int
-    cols: int
+# Tolerances of the array sweep.  Each is relative, so a sweep commutes
+# with translating, scaling and rotating the pattern.
+COINCIDE_RTOL = 1e-12     # consecutive neighbour gap / spread of the five centres
+DETERMINANT_RTOL = 1e-14  # |det| of the mutation map in units of that spread
+VERTEX_RTOL = 1e-9        # closure and concyclicity gaps / radius of the face
+
+
+@dataclass(eq=False)
+class TorusPatternState:
+    """Miquel dynamics state on the rows x cols square-grid torus.
+
+    centers[i, j] is the centre of face (i, j), id i*cols + j, and anchor
+    the position of grid vertex (0, 0), both in one chart of the
+    universal cover: the chart in which every face of
+    build_square_grid_torus(rows, cols) has its walk frame.  Across the
+    last column a neighbour is shifted by periods[0], across the last row
+    by periods[1].  The centres are the dynamical state; the anchor only
+    fixes where the vertices go.  step_parity is the face parity class
+    (i + j) % 2 that moves next.  pattern builds the CirclePattern on
+    first use, on the canonical grid graph.
+    """
+
+    centers: np.ndarray
+    periods: Tuple[complex, complex]
+    anchor: complex
     step_parity: int = 0
+    _pattern: Optional[CirclePattern] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # the sweep moves a whole parity class at once, which needs every
+        # face's neighbours, across the wraps too, to have the other parity
+        Z = self.centers
+        if not (isinstance(Z, np.ndarray) and Z.ndim == 2 and np.iscomplexobj(Z)):
+            raise MiquelDynError("centers must be a 2-D complex array")
+        if Z.shape[0] % 2 or Z.shape[1] % 2:
+            raise MiquelDynError("grid dimensions must be even")
+
+    @property
+    def rows(self) -> int:
+        return self.centers.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.centers.shape[1]
+
+    @property
+    def pattern(self) -> CirclePattern:
+        if self._pattern is None:
+            self._pattern = _grid_pattern(self)
+        return self._pattern
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_graph(rows: int, cols: int):
+    # graphs are frozen, so every pattern of one shape shares its graph
+    return build_square_grid_torus(rows, cols)
 
 
 def make_torus_state(pattern: CirclePattern, rows: int, cols: int,
                      step_parity: int = 0) -> TorusPatternState:
+    """Dynamics state of a valid rows x cols square-grid torus pattern.
+
+    Face (i, j) must have id i*cols + j, with faces (i, j+1) and (i+1, j)
+    across its edges towards periods[0] and periods[1]; vertex and edge
+    ids and the walk frames may be anything.  The state's pattern is the
+    given one until the first sweep.
+    """
     if rows % 2 or cols % 2:
         raise MiquelDynError("grid dimensions must be even")
     problems = validate_pattern(pattern)
     if problems:
         raise MiquelDynError("invalid pattern: " + "; ".join(problems))
-    return TorusPatternState(pattern, rows, cols, step_parity % 2)
+    centers, anchor = _grid_chart(pattern, rows, cols)
+    return TorusPatternState(centers, pattern.periods, anchor, step_parity % 2,
+                             pattern)
+
+
+def _grid_chart(p: CirclePattern, rows: int, cols: int):
+    """Centres of a grid torus pattern in face 0's frame, and the anchor.
+
+    A face's east slot is the one whose neighbour is face (i, j+1); on
+    the 2x2 torus, where the east and west neighbours are one face, it
+    is the one that lifts that face one period[0] further than the west
+    slot does.  Each face's frame offset from face 0's is accumulated
+    along row 0 and then up the columns, never across a wrap, and every
+    slot of every face is checked against the grid before any value is
+    read.
+    """
+    g = p.graph
+    n = rows * cols
+    if g.surface != "torus" or sorted(g.faces) != list(range(n)):
+        raise MiquelDynError("not a %dx%d grid torus: face ids must be 0..%d"
+                             % (rows, cols, n - 1))
+    sides = g.edge_sides()
+    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))  # east, north, west, south
+    east = {}
+    for f, walk in g.faces.items():
+        i, j = divmod(f, cols)
+        want = [(i + di) % rows * cols + (j + dj) % cols for di, dj in steps]
+        got = [sides[eid][not fwd] for eid, fwd in walk]
+        found = [k for k in range(len(got))
+                 if len(got) == 4 and got[k:] + got[:k] == want]
+        if len(found) > 1:
+            found = [k for k in found
+                     if _osub(slot_alignment(g, f, k), slot_alignment(g, f, (k + 2) % 4))
+                     == (1, 0)]
+        if len(found) != 1:
+            raise MiquelDynError("not a %dx%d grid torus: face %d has neighbours %s"
+                                 % (rows, cols, f, got))
+        east[f] = found[0]
+
+    frame = {0: (0, 0)}
+    for f in range(1, n):
+        i, j = divmod(f, cols)
+        prev, step = (f - 1, 0) if i == 0 else (f - cols, 1)
+        frame[f] = _oadd(frame[prev], slot_alignment(g, prev, (east[prev] + step) % 4))
+    # the same offsets must hold across every edge, wraps included
+    for f in range(n):
+        i, j = divmod(f, cols)
+        for m, (di, dj) in enumerate(steps):
+            k = (east[f] + m) % 4
+            nb = (i + di) % rows * cols + (j + dj) % cols
+            wrap = ((j + dj) // cols, (i + di) // rows)
+            if _oadd(frame[f], slot_alignment(g, f, k)) != _oadd(frame[nb], wrap):
+                raise MiquelDynError(
+                    "not a %dx%d grid torus: face %d is not lifted to face %d "
+                    "along the grid" % (rows, cols, f, nb))
+
+    drawing = FaceDrawing(g, p.center_points, p.periods)
+    centers = np.empty((rows, cols), dtype=complex)
+    for f in range(n):
+        c = drawing.lifted_value(f, frame[f])
+        if is_infinite(c):
+            raise InfiniteCenter("face %d: centre at infinity" % f, face=f)
+        centers[divmod(f, cols)] = c
+    anchor = p.lifted_face_vertices(0)[(east[0] - 1) % 4]
+    if is_infinite(anchor):
+        raise InfiniteCenter("face 0: corner at infinity", face=0)
+    return centers, complex(anchor)
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil(rows: int, cols: int, parity: int):
+    """Faces of one parity class and their neighbours, as flat indices.
+
+    Returns (ids, nbrs, kx, ky): nbrs[m] holds the south, east, north
+    and west neighbours of the faces ids in the cyclic slot order of the
+    grid walks, each to be lifted into the chart by kx periods[0] +
+    ky periods[1].  The arrays are shared, so they are read-only.
+    """
+    i, j = np.divmod(np.arange(rows * cols), cols)
+    ids = np.flatnonzero((i + j) % 2 == parity)
+    ni = i[ids] + np.array([-1, 0, 1, 0])[:, None]
+    nj = j[ids] + np.array([0, 1, 0, -1])[:, None]
+    out = (ids, ni % rows * cols + nj % cols, nj // cols, ni // rows)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _raise_at(error, message: str, bad: np.ndarray, ids: np.ndarray,
+              residual: np.ndarray, tolerance: float, scale: np.ndarray) -> None:
+    """Raise error at the lowest face id among the flagged entries."""
+    k = int(np.flatnonzero(bad)[0])
+    f = int(ids[k])
+    raise error("face %d: %s" % (f, message), face=f, residual=float(residual[k]),
+                tolerance=tolerance, scale=float(scale[k]))
+
+
+def _mutated_centers(C: np.ndarray, nbrs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The mutation map of each face's four neighbours applied to its centre.
+
+    nbrs[k] are the lifted neighbour centres z_k in cyclic order and ids
+    the face ids of the entries.  The map is evaluated with
+    w_k = z_k - C in units of the spread s = max |w_k|, where it sends 0
+    to -c3(w) / c2(w); this is apply_mobius(mobius_mutation(z_1..z_4), C)
+    without the cancellation of large coordinates.
+    """
+    w = nbrs - C
+    spread = np.abs(w).max(axis=0)
+    u = w / np.where(spread > 0, spread, 1.0)
+    gap = np.abs(u - u[[1, 2, 3, 0]]).min(axis=0)
+    bad = gap <= COINCIDE_RTOL
+    if bad.any():
+        _raise_at(ConsecutiveCoincidence, "consecutive neighbour centres coincide",
+                  bad, ids, gap, COINCIDE_RTOL, spread)
+    u1, u2, u3, u4 = u
+    c1 = u1 - u2 + u3 - u4
+    c2 = u1 * u3 - u2 * u4
+    c3 = u2 * u4 * (u1 + u3) - u1 * u3 * (u2 + u4)
+    det = np.abs(c2 * c2 + c1 * c3)
+    bad = det <= DETERMINANT_RTOL
+    if bad.any():
+        _raise_at(DegenerateMap, "mutation map has numerically vanishing determinant",
+                  bad, ids, det, DETERMINANT_RTOL, spread)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        new = C - spread * (c3 / c2)
+    bad = ~np.isfinite(new)
+    if bad.any():
+        _raise_at(InfiniteCenter, "moved centre is at infinity",
+                  bad, ids, np.abs(c2), 0.0, spread)
+    return new
+
+
+def _reflect(z, a, b):
+    """Reflection of z in the line through a and b (arrays or scalars)."""
+    d = b - a
+    return a + d / d.conjugate() * (z - a).conjugate()
 
 
 def miquel_dynamics_step(state: TorusPatternState) -> TorusPatternState:
     """Move every face of the current parity class and flip the parity.
 
-    Faces are processed in increasing id order; the result does not
-    depend on the order because same-parity faces share no moved data.
-    Combinatorially the sweep returns to a square-grid torus: every
-    original corner is split by its first moved face and merged away by
-    the second one.
+    Each moving face's centre goes through the mutation map of its four
+    lifted neighbours, all at once, which is exact because same-parity
+    faces share no moved data.  The anchor goes to the second
+    intersection of the two unmoved circles through grid vertex (0, 0),
+    its reflection in the line through their centres.  Vertices are not
+    stored, so none can drift off its circles; they are derived when the
+    pattern is read.
     """
-    parity = grid_face_parity(state.rows, state.cols)
-    p = state.pattern
-    for f in sorted(fid for fid, par in parity.items()
-                    if par == state.step_parity):
-        try:
-            p = miquel_move(p, f)
-        except MiquelDynError as err:
-            raise type(err)("face %d: %s" % (f, err)) from err
-    return TorusPatternState(p, state.rows, state.cols, 1 - state.step_parity)
+    Z, periods, parity = state.centers, state.periods, state.step_parity
+    rows, cols = Z.shape
+    ox, oy = periods
+    ids, nbrs, kx, ky = _stencil(rows, cols, parity)
+    flat = Z.ravel()
+    out = flat.copy()
+    out[ids] = _mutated_centers(flat[ids], flat[nbrs] + (kx * ox + ky * oy), ids)
+    out = out.reshape(rows, cols)
+    if parity == 0:   # faces (0, -1) and (-1, 0) stay at vertex (0, 0)
+        a, b = Z[0, -1] - ox, Z[-1, 0] - oy
+    else:             # faces (0, 0) and (-1, -1) stay
+        a, b = Z[0, 0], Z[-1, -1] - ox - oy
+    anchor = complex(_reflect(state.anchor, complex(a), complex(b)))
+    return TorusPatternState(out, periods, anchor, 1 - parity)
+
+
+class VertexGrid(NamedTuple):
+    """Vertices of a grid torus state and the relative residuals per face.
+
+    points[i, j] is grid vertex (i, j), id i*cols + j, in the state's
+    chart; radius[i, j] the mean distance of face (i, j)'s corners from
+    its centre; closure[i, j] the gap between the vertex (i, j) reached
+    across a wrap and the stored one, over that radius (zero off row 0
+    and column 0); concyclic[i, j] the spread of the corner distances
+    over that radius.
+    """
+
+    points: np.ndarray
+    radius: np.ndarray
+    closure: np.ndarray
+    concyclic: np.ndarray
+
+
+def torus_vertices(state: TorusPatternState) -> VertexGrid:
+    """Grid vertices reflected out of the anchor, and their residuals.
+
+    Down column 0, each vertex is the reflection of the one below in the
+    line through the centres on either side of their edge; then every
+    row at once, column by column, the same across the edges of each
+    column.  Rows and columns run one past the torus, so that the last
+    vertices come back across the wraps to be checked against the first.
+    """
+    Z, (ox, oy) = state.centers, state.periods
+    rows, cols = Z.shape
+    # P[i + 1, j + 1] is face (i, j) for -1 <= i <= rows and -1 <= j <= cols
+    P = np.pad(Z, 1, mode="wrap")
+    P[0] -= oy
+    P[-1] += oy
+    P[:, 0] -= ox
+    P[:, -1] += ox
+    V = np.empty((rows + 1, cols + 1), dtype=complex)
+    left, right = P[1:-1, 0].tolist(), P[1:-1, 1].tolist()
+    column = [complex(state.anchor)]
+    for i in range(rows):
+        column.append(_reflect(column[i], left[i], right[i]))
+    V[:, 0] = column
+    for j in range(cols):
+        V[:, j + 1] = _reflect(V[:, j], P[:-1, j + 1], P[1:, j + 1])
+
+    points = V[:-1, :-1].copy()
+    top = V[-1, :-1] - oy
+    far = V[:-1, -1] - ox
+    # corners as the pattern stores them: the wraps lift the first ones
+    V[-1, :-1] = points[0] + oy
+    V[:-1, -1] = points[:, 0] + ox
+    V[-1, -1] = points[0, 0] + ox + oy
+    radii = np.abs(np.stack([V[:-1, :-1], V[:-1, 1:], V[1:, 1:], V[1:, :-1]]) - Z)
+    radius = radii.mean(axis=0)
+    concyclic = (radii.max(axis=0) - radii.min(axis=0)) / radius
+    closure = np.zeros((rows, cols))
+    closure[0] = np.abs(top - points[0]) / radius[0]
+    closure[:, 0] = np.maximum(closure[:, 0], np.abs(far - points[:, 0]) / radius[:, 0])
+    return VertexGrid(points, radius, closure, concyclic)
+
+
+def _grid_pattern(state: TorusPatternState) -> CirclePattern:
+    """The state's circle pattern on the canonical grid graph."""
+    grid = torus_vertices(state)
+    ids = np.arange(grid.points.size)
+    for error, residual, message in (
+            (MonodromyFailure, grid.closure,
+             "reflections of the anchor do not close across the wrap"),
+            (ConstructionFailure, grid.concyclic,
+             "corners are not concyclic about the centre")):
+        bad = ~(residual <= VERTEX_RTOL).ravel()
+        if bad.any():
+            _raise_at(error, message, bad, ids, residual.ravel(), VERTEX_RTOL,
+                      grid.radius.ravel())
+    return CirclePattern(_grid_graph(state.rows, state.cols),
+                         dict(enumerate(grid.points.ravel().tolist())),
+                         dict(enumerate(state.centers.ravel().tolist())),
+                         state.periods)
 
 
 def _sample_spacings(rng, count: int, spread: float, retries: int = 100):
@@ -317,17 +604,14 @@ def patch_from_pattern(state: TorusPatternState, pad: int = 2) -> OctahedralPatc
     (which makes the lattice parities come out even), the others on
     z0 + 1, so one dynamics step computes exactly level z0 + 2.
     """
-    p = state.pattern
     rows, cols = state.rows, state.cols
-    if p.periods is None:
-        raise MiquelDynError("the universal cover needs a torus pattern")
-    ox, oy = p.periods
+    centers = state.centers.tolist()
+    ox, oy = state.periods
     z0 = state.step_parity
     values: Dict[LatticePoint, ExtendedComplex] = {}
     for x in range(-pad, cols + pad):
         for y in range(-pad, rows + pad):
-            fid = (y % rows) * cols + (x % cols)
-            lift = p.center_points[fid] \
+            lift = centers[y % rows][x % cols] \
                 + (x - x % cols) // cols * ox + (y - y % rows) // rows * oy
             par = ((y % rows) + (x % cols)) % 2
             level = z0 if par == state.step_parity else z0 + 1

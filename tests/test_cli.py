@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import miqueldyn
+from miqueldyn import cli
 from miqueldyn.cli import run_command
 from miqueldyn.jsonio import (canonical_dumps, drawing_from_json, pattern_from_json,
                               read_json)
@@ -177,6 +178,49 @@ def test_degeneracy_exit_code(tmp_path):
                  "--spread", "-0.5", "--out", out)
     assert result.exit_code == 2
     assert "DegenerateRow" in result.report
+
+
+def _dynamics_on_edited_centres(tmp_path, monkeypatch, edit, *flags):
+    """dynamics from the 4x4 isoradial pattern, its state's centres
+    edited after step 0 is written from the unedited pattern."""
+    real = cli.make_torus_state
+
+    def edited(p, rows, cols):
+        state = real(p, rows, cols)
+        edit(state.centers)
+        return state
+
+    monkeypatch.setattr(cli, "make_torus_state", edited)
+    return run("dynamics", "--steps", "1", "--size", "4x4", "--spread", "0",
+               "--out", str(tmp_path / "run"), *flags)
+
+
+def test_dynamics_error_json_carries_face_residual_tolerance_scale(tmp_path,
+                                                                   monkeypatch):
+    def coincide(Z):
+        Z[1, 2] = Z[0, 1]
+
+    result = _dynamics_on_edited_centres(tmp_path, monkeypatch, coincide, "--json")
+    assert result.exit_code == 2
+    assert json.loads(result.report) == {
+        "error": "ConsecutiveCoincidence",
+        "message": "face 2: consecutive neighbour centres coincide",
+        "face": 2, "residual": 0.0, "tolerance": 1e-12, "scale": 1.0}
+    result = _dynamics_on_edited_centres(tmp_path, monkeypatch, coincide)
+    assert result.exit_code == 2
+    assert "face: 2" in result.report.splitlines()
+    assert "tolerance: 1e-12" in result.report.splitlines()
+
+    def shear(Z):
+        Z[1, 2] += 0.1
+
+    result = _dynamics_on_edited_centres(tmp_path, monkeypatch, shear, "--json")
+    assert result.exit_code == 2
+    report = json.loads(result.report)
+    assert report["error"] in ("MonodromyFailure", "ConstructionFailure")
+    assert report["message"].startswith("face %d: " % report["face"])
+    assert report["tolerance"] == 1e-9 and report["residual"] > 1e-9
+    assert report["scale"] > 0
 
 
 def test_validation_failure_exit_codes(tmp_path, pattern_file):

@@ -167,3 +167,38 @@ def test_streamed_atomic_write_replaces_only_on_success(tmp_path):
             raise RuntimeError("step failed")
     assert target.read_text() == "[1,2]\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def _dumps_with_json_quoting(obj) -> str:
+    # canonical_dumps as it was written with json.dumps quoting every string
+    if obj is None or obj is True or obj is False or isinstance(obj, (int, float)):
+        return canonical_dumps(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_dumps_with_json_quoting(v) for v in obj) + "]"
+    return "{" + ",".join("%s:%s" % (json.dumps(k), _dumps_with_json_quoting(obj[k]))
+                          for k in sorted(obj)) + "}"
+
+
+def test_key_quoting_matches_json_dumps():
+    keys = ["plain", "", "café", "über", 'say "hi"', "back\\slash",
+            "tab\there", "nl\n", "nul\x00", "bell\x07", "del\x7f",
+            " sep", "astral \U0001F600", "\ud800 lone"]
+    blob = {k: k for k in keys}
+    assert canonical_dumps(blob) == json.dumps(blob, sort_keys=True,
+                                               separators=(",", ":"))
+    for k in keys:
+        assert canonical_dumps({k: 1}) == "{%s:1}" % json.dumps(k)
+        assert canonical_dumps(k) == json.dumps(k)
+
+
+def test_pattern_drawing_and_patch_bytes_unchanged_by_quoting():
+    p = generate_kasteleyn_cauchy_data(4, 6, seed=3)
+    patch = OctahedralPatch(
+        window=((-1, 1), (-1, 1), (0, 1)),
+        values={(0, 0, 0): 1 + 2j, (1, 1, 0): INFINITY, (1, 0, 1): -0.5j},
+    )
+    for blob in (pattern_to_json(p), drawing_to_json(p.centers_drawing()),
+                 patch_to_json(patch)):
+        assert canonical_dumps(blob) == _dumps_with_json_quoting(blob)
