@@ -7,6 +7,7 @@ failure, 2 numeric degeneracy, 64 usage error.
 """
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -264,6 +265,9 @@ def _cmd_export_svg(args):
 
 # -- wiring -------------------------------------------------------------------
 
+# argparse keeps no state between parse_args calls, so one parser serves
+# every command a process runs
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",

@@ -51,6 +51,9 @@ def enumerate_matchings(g: SurfaceGraph, max_vertices: int = MAX_ENUMERATION_VER
                 chosen.pop()
 
     rec(frozenset(g.vertex_color), [])
+    # rec reaches itself through its closure; unbound, the cycle no longer
+    # keeps every matching alive until the next full garbage collection
+    del rec
     return sorted(out)
 
 

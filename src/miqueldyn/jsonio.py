@@ -4,6 +4,8 @@ Every emitter produces one canonical byte form: keys sorted, no
 whitespace, floats printed with 17 significant digits (enough to round
 trip a double), the point at infinity as the string "inf".  Files are
 written atomically so a crashed run never leaves a half-written file.
+canonical_dumps is the one emitter: a single pass appends every token to
+one list, which is joined once.
 """
 
 import contextlib
@@ -35,28 +37,86 @@ _quote = json.encoder.encode_basestring_ascii
 
 def canonical_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, %.17g floats."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return repr(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_dumps(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        for k in obj:
-            if not isinstance(k, str):
-                raise SchemaError("canonical JSON keys must be strings")
-        items = ("%s:%s" % (_quote(k), canonical_dumps(obj[k]))
-                 for k in sorted(obj))
-        return "{" + ",".join(items) + "}"
-    raise SchemaError("cannot serialize %r" % type(obj))
+    out: List[str] = []
+    _emit(obj, out)
+    return "".join(out)
+
+
+def _emit(obj, out: List[str]) -> None:
+    # exact containers first; every other value takes the checks below in
+    # their old order, so subclasses and numpy scalars keep their rules
+    t = type(obj)
+    if t is list or t is tuple:
+        _emit_array(obj, out)
+    elif t is dict:
+        _emit_object(obj, out)
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, int):
+        # not repr(): an IntEnum member must print as its value
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        _emit_array(obj, out)
+    elif isinstance(obj, dict):
+        _emit_object(obj, out)
+    else:
+        raise SchemaError("cannot serialize %r" % type(obj))
+
+
+# The two container loops write exact floats and ints in place: they are
+# nearly every value in a pattern, and a call per value would cost more
+# than the formatting.
+
+def _emit_array(items, out: List[str]) -> None:
+    append = out.append
+    append("[")
+    first = True
+    for v in items:
+        if first:
+            first = False
+        else:
+            append(",")
+        t = type(v)
+        if t is float:
+            append(_fmt_float(v))
+        elif t is int:
+            append(int.__repr__(v))
+        else:
+            _emit(v, out)
+    append("]")
+
+
+def _emit_object(obj, out: List[str]) -> None:
+    for k in obj:
+        if not isinstance(k, str):
+            raise SchemaError("canonical JSON keys must be strings")
+    append = out.append
+    append("{")
+    first = True
+    for k in sorted(obj):
+        if first:
+            first = False
+        else:
+            append(",")
+        append(_quote(k))
+        append(":")
+        v = obj[k]
+        t = type(v)
+        if t is float:
+            append(_fmt_float(v))
+        elif t is int:
+            append(int.__repr__(v))
+        else:
+            _emit(v, out)
+    append("}")
 
 
 @contextlib.contextmanager

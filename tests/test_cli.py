@@ -161,6 +161,29 @@ def test_export_svg_default_layers(tmp_path, pattern_file):
     assert text.count('class="edge"') == 32
 
 
+def test_commands_in_one_process_share_no_flags(tmp_path, pattern_file, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, report = run_json("validate", pattern_file)
+    assert code == 0 and report["ok"] is True
+    result = run("validate", pattern_file)
+    assert result.exit_code == 0
+    assert result.report.splitlines()[0] == "command: validate"
+
+    out = str(tmp_path / "p.svg")
+    assert run("export-svg", pattern_file, "--layers", "circles",
+               "--out", out).exit_code == 0
+    assert open(out).read().count('class="edge"') == 0
+    code, report = run_json("export-svg", pattern_file, "--out", out)
+    assert code == 0
+    assert report["layers"] == ["circles", "centers", "edges"]
+    assert open(out).read().count('class="edge"') == 32
+
+    assert run("--version").exit_code == 0
+    assert capsys.readouterr().out.strip() == miqueldyn.__version__
+    code, report = run_json("validate", pattern_file)
+    assert code == 0 and report["ok"] is True
+
+
 def test_usage_errors():
     assert run("no-such-command").exit_code == 64
     assert run().exit_code == 64

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -75,6 +76,17 @@ def test_enumeration_bound():
         enumerate_matchings(g)
     # the bound is configurable
     assert len(enumerate_matchings(g, max_vertices=36)) > 0
+
+
+def test_enumeration_frees_its_matchings_without_the_cycle_collector():
+    g = build_square_grid_torus(2, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_matchings(g)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_face_weights_unit_and_single_heavy_edge():

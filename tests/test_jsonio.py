@@ -1,5 +1,9 @@
+import collections
+import enum
 import json
+import math
 
+import numpy as np
 import pytest
 
 from conftest import rectangular_torus_pattern
@@ -202,3 +206,103 @@ def test_pattern_drawing_and_patch_bytes_unchanged_by_quoting():
     for blob in (pattern_to_json(p), drawing_to_json(p.centers_drawing()),
                  patch_to_json(patch)):
         assert canonical_dumps(blob) == _dumps_with_json_quoting(blob)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def test_int_subclass_prints_its_value():
+    text = canonical_dumps([_Level.LOW, {"level": _Level.HIGH}])
+    assert text == '[1,{"level":2}]'
+    assert json.loads(text) == [1, {"level": 2}]
+
+
+def test_types_outside_json_keep_their_rules():
+    assert canonical_dumps([np.float64(0.1), np.float64(-0.0)]) == "[0.10000000000000001,0]"
+    assert canonical_dumps(collections.OrderedDict(b=(1,), a=[])) == '{"a":[],"b":[1]}'
+    for bad in (np.int64(1), np.bool_(True), {1, 2}, [1j], {"k": object()}):
+        with pytest.raises(SchemaError, match="cannot serialize"):
+            canonical_dumps(bad)
+    with pytest.raises(SchemaError, match="non-finite"):
+        canonical_dumps({"a": [1.0, np.float64("inf")]})
+
+
+# -- the recursive emitter canonical_dumps replaced, kept as the reference ---
+
+def _reference_fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise SchemaError("non-finite number in canonical JSON")
+    if x == 0.0:
+        return "0"
+    # "%.17g" keeps an exact short form for integral values
+    return "%.17g" % x
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _reference_dumps(obj) -> str:
+    """Deterministic JSON text: sorted keys, fixed separators, %.17g floats."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        return _reference_fmt_float(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_dumps(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        for k in obj:
+            if not isinstance(k, str):
+                raise SchemaError("canonical JSON keys must be strings")
+        items = ("%s:%s" % (_quote(k), _reference_dumps(obj[k]))
+                 for k in sorted(obj))
+        return "{" + ",".join(items) + "}"
+    raise SchemaError("cannot serialize %r" % type(obj))
+
+
+def _outcome(dumps, obj):
+    try:
+        return dumps(obj)
+    except SchemaError as err:
+        return ("SchemaError", str(err))
+
+
+def test_emitter_matches_the_recursive_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    edge_floats = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1e16, 0.1, math.nan, math.inf, -math.inf]
+    scalars = st.one_of(
+        st.none(), st.booleans(),
+        st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 200),
+        st.integers(max_value=-2 ** 64, min_value=-2 ** 200),
+        st.floats(), st.sampled_from(edge_floats), st.floats().map(np.float64),
+        st.text(), st.sampled_from([np.int64(3), np.bool_(False), frozenset()]),
+    )
+    mixed_keys = st.one_of(st.text(), st.integers(), st.none(), st.floats())
+
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=6),
+            st.lists(children, max_size=6).map(tuple),
+            st.dictionaries(st.text(), children, max_size=6),
+            st.dictionaries(st.text(), children, max_size=6).map(collections.OrderedDict),
+            st.dictionaries(mixed_keys, children, min_size=1, max_size=3),
+        )
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.recursive(scalars, containers, max_leaves=20))
+    def check(obj):
+        assert _outcome(canonical_dumps, obj) == _outcome(_reference_dumps, obj)
+
+    check()
