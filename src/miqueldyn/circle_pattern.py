@@ -24,6 +24,7 @@ from .errors import (
     NonRealStarRatios,
     MonodromyFailure,
     NumericalTangencyAmbiguity,
+    NumericDegeneracy,
 )
 from .geometry import (
     INFINITY,
@@ -343,7 +344,9 @@ def local_miquel(neighbours: List[Circle], corners: List[object],
 
     corners[k] must be a common point of neighbours[k] and
     neighbours[k+1]; the returned points are the other intersections
-    (tangency keeps the corner), followed by their circumcircle.
+    (tangency keeps the corner), followed by their circumcircle.  A
+    measured failure carries the residual distance, the tolerance and
+    the scale it is relative to: residual > tolerance * scale.
     """
     second: List[object] = []
     for k in range(4):
@@ -360,12 +363,13 @@ def local_miquel(neighbours: List[Circle], corners: List[object],
         d0 = _point_gap(pts[0], ik)
         d1 = _point_gap(pts[1], ik)
         near, far = (pts[0], pts[1]) if d0 <= d1 else (pts[1], pts[0])
-        scale = _config_scale([p for p in pts if not is_infinite(p)] +
-                              ([] if is_infinite(ik) else [ik]))
-        if _point_gap(near, ik) > 1e-6 * max(1.0, scale):
+        scale = max(1.0, _config_scale([p for p in pts if not is_infinite(p)] +
+                                       ([] if is_infinite(ik) else [ik])))
+        gap = _point_gap(near, ik)
+        if gap > 1e-6 * scale:
             raise NumericalTangencyAmbiguity(
-                "corner %d is not an intersection of its circles" % k
-            )
+                "corner %d is not an intersection of its circles" % k,
+                residual=gap, tolerance=1e-6, scale=scale)
         second.append(far)
     tri = [second[0], second[1], second[2]]
     new_circle = circumcircle(*tri)
@@ -373,8 +377,11 @@ def local_miquel(neighbours: List[Circle], corners: List[object],
         scale = _config_scale([q for q in second[:3] if not is_infinite(q)])
     else:
         scale = new_circle.radius
-    if new_circle.distance_to(second[3]) > tol * max(1.0, scale):
-        raise ConstructionFailure("fourth second-intersection is not concyclic")
+    scale = max(1.0, scale)
+    gap = new_circle.distance_to(second[3])
+    if gap > tol * scale:
+        raise ConstructionFailure("fourth second-intersection is not concyclic",
+                                  residual=gap, tolerance=tol, scale=scale)
     return second, new_circle
 
 
@@ -435,7 +442,10 @@ def miquel_move_full(p: CirclePattern, f: int):
         z = p.vertex_points[corners[k]]
         lifted_corner.append(z if is_infinite(z) else z + _omega(p.periods, shifts[k + 1]))
 
-    second, new_circle = local_miquel(n_circles, lifted_corner)
+    try:
+        second, new_circle = local_miquel(n_circles, lifted_corner)
+    except NumericDegeneracy as exc:
+        raise type(exc)("face %d: %s" % (f, exc), **dict(exc.fields(), face=f)) from exc
     new_center_old_frame = circle_center_of(new_circle)
 
     g2, rec = mutate_at_face(g, f)
@@ -451,11 +461,13 @@ def miquel_move_full(p: CirclePattern, f: int):
         else:
             kept = new_vertices[cid]
             kept_l = kept if is_infinite(kept) else kept + _omega(p.periods, tau)
-            scale = _config_scale([q for q in lifted_corner if not is_infinite(q)])
-            if _point_gap(kept_l, second[k]) > 1e-7 * max(1.0, scale):
+            scale = max(1.0, _config_scale([q for q in lifted_corner
+                                            if not is_infinite(q)]))
+            gap = _point_gap(kept_l, second[k])
+            if gap > 1e-7 * scale:
                 raise ConstructionFailure(
-                    "second intersection at corner %d misses the leg vertex" % k
-                )
+                    "face %d: second intersection at corner %d misses the leg vertex"
+                    % (f, k), face=f, residual=gap, tolerance=1e-7, scale=scale)
 
     new_centers = p.center_points.copy()
     new_centers[f] = new_center_old_frame

@@ -141,3 +141,16 @@ def rectangular_torus_pattern(dx, dy):
                for i in range(rows) for j in range(cols)}
     periods = (complex(X[cols], 0.0), complex(0.0, Y[rows]))
     return CirclePattern(g, verts, centers, periods)
+
+
+def corner_off_circles_pattern(face=5, shift=1e-3):
+    """The seed-7 4x4 Kasteleyn pattern with the first corner of face
+    moved by shift, off the circles that meet there."""
+    from miqueldyn.circle_pattern import CirclePattern
+    from miqueldyn.lattice import generate_kasteleyn_cauchy_data
+
+    p = generate_kasteleyn_cauchy_data(4, 4, seed=7, spread=0.5)
+    v = p.graph.step_end(p.graph.faces[face][0])
+    verts = dict(p.vertex_points)
+    verts[v] += shift
+    return CirclePattern(p.graph, verts, p.center_points, p.periods)

@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     assert_graphs_equivalent,
     build_cube,
+    corner_off_circles_pattern,
     infer_vertex_map,
     rectangular_torus_pattern,
 )
@@ -26,6 +27,7 @@ from miqueldyn.errors import (
     MonodromyFailure,
     NonRealStarRatios,
     NotAValidQuad,
+    NumericalTangencyAmbiguity,
 )
 from miqueldyn.geometry import INFINITY, apply_mobius, mobius_mutation, star_ratio
 from miqueldyn.surface_graph import build_square_grid_patch
@@ -136,6 +138,16 @@ def test_miquel_move_matches_mobius_map():
             q, rec = miquel_move_full(p, f)
             got = q.center_points[f] + _omega(q.periods, rec.anchor_shift[f])
             assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_miquel_move_error_names_face_residual_tolerance_scale():
+    with pytest.raises(NumericalTangencyAmbiguity) as info:
+        miquel_move(corner_off_circles_pattern(face=5), 5)
+    err = info.value
+    assert str(err) == "face 5: corner 0 is not an intersection of its circles"
+    assert err.face == 5 and err.tolerance == 1e-6 and err.scale >= 1.0
+    assert err.residual > err.tolerance * err.scale
+    assert err.residual == pytest.approx(1e-3, rel=0.5)
 
 
 def test_miquel_move_wrap_face_small_torus():

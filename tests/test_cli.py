@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import corner_off_circles_pattern
 import miqueldyn
 from miqueldyn import cli
 from miqueldyn.cli import run_command
 from miqueldyn.jsonio import (canonical_dumps, drawing_from_json, pattern_from_json,
-                              read_json)
+                              pattern_to_json, read_json, write_json_atomic)
 from miqueldyn.circle_pattern import validate_pattern
 
 
@@ -87,6 +88,17 @@ def test_check_urban_renewal(pattern_file):
     assert report["ok"] is True
     assert report["undefined"] is False
     assert report["max_discrepancy"] <= 1e-9
+
+
+def test_check_urban_renewal_error_names_the_face(tmp_path):
+    path = str(tmp_path / "off.json")
+    write_json_atomic(path, pattern_to_json(corner_off_circles_pattern(face=5)))
+    code, report = run_json("check-urban-renewal", path, "--face", "5")
+    assert code == 2
+    assert report["error"] == "NumericalTangencyAmbiguity"
+    assert report["message"] == "face 5: corner 0 is not an intersection of its circles"
+    assert report["face"] == 5 and report["tolerance"] == 1e-6
+    assert report["residual"] > report["tolerance"] * report["scale"] > 0
 
 
 def test_clifford_move_centers_only(tmp_path, pattern_file):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from miqueldyn.dimer import (
     weights_from_pattern,
 )
 from miqueldyn.errors import InvalidFace, TooLarge, WeightMismatchOutsideN
+from miqueldyn.lattice import generate_kasteleyn_cauchy_data
 from miqueldyn.surface_graph import (
     SurfaceGraph,
     build_square_grid_torus,
@@ -60,6 +62,13 @@ def test_odd_vertex_count_has_no_matchings():
     assert enumerate_matchings(g) == []
 
 
+def _product(w, m):
+    x = 1.0
+    for eid in m:
+        x *= w[eid]
+    return x
+
+
 def test_torus_2x2_matchings_against_brute_force():
     g = build_square_grid_torus(2, 2)
     ms = enumerate_matchings(g)
@@ -68,6 +77,22 @@ def test_torus_2x2_matchings_against_brute_force():
     ens = dimer_statistics(g, {e: 1.0 for e in g.edges})
     assert ens.Z == pytest.approx(8.0)
     assert sum(ens.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+    # the mutated 2x4 torus has double edges; the quad sphere has
+    # degree-2 vertices
+    g24 = build_square_grid_torus(2, 4)
+    moved, _ = mutate_at_face(g24, 1)
+    assert max(Counter((e.minus, e.plus) for e in moved.edges.values()).values()) == 2
+    rng = np.random.default_rng(17)
+    for h in (g24, moved, build_quad_sphere()):
+        ms = enumerate_matchings(h)
+        assert ms == brute_force_matchings(h)
+        w = {e: float(np.exp(rng.normal())) for e in h.edges}
+        ens = dimer_statistics(h, w)
+        assert ens.matchings == ms
+        for m, x in zip(ens.matchings, ens.weights):
+            assert x == pytest.approx(_product(w, m), rel=1e-15, abs=0)
+        assert ens.probabilities == [x / ens.Z for x in ens.weights]
 
 
 def test_enumeration_bound():
@@ -200,6 +225,86 @@ def test_urban_renewal_detects_perturbation():
     rep = urban_renewal_check(g, w, 0, g2, w2)
     assert not rep.ok
     assert rep.max_discrepancy > 1e-9
+    _assert_renewal_matches_reference(g, w, 0, g2, w2)
+
+
+def _reference_matchings(g):
+    """Perfect matchings by recursion over frozensets of uncovered
+    vertices, each stored as a sorted edge-id tuple."""
+    inc = g.vertex_edges()
+    out = []
+
+    def rec(uncovered, chosen):
+        if not uncovered:
+            out.append(tuple(sorted(chosen)))
+            return
+        v = min(uncovered)
+        for eid in inc[v]:
+            e = g.edges[eid]
+            o = e.plus if e.minus == v else e.minus
+            if o != v and o in uncovered:
+                chosen.append(eid)
+                rec(uncovered - {v, o}, chosen)
+                chosen.pop()
+
+    rec(frozenset(g.vertex_color), [])
+    return sorted(out)
+
+
+def _reference_renewal(g, w, f, g2, w2, tol=1e-9):
+    """The urban-renewal check from stored matchings: per-matching
+    probabilities summed per class of edges outside the move."""
+    comp = set(g.edges) - set(edge_neighbourhood(g, f))
+
+    def classes(h, wh):
+        ms = _reference_matchings(h)
+        weights = [_product(wh, m) for m in ms]
+        z = sum(weights)
+        sums = {}
+        for m, x in zip(ms, weights):
+            key = tuple(sorted(set(m) & comp))
+            sums[key] = sums.get(key, 0.0) + x / z
+        return z, sums
+
+    (z1, c1), (z2, c2) = classes(g, w), classes(g2, w2)
+    keys = set(c1) | set(c2)
+    disc = max(abs(c1.get(k, 0.0) - c2.get(k, 0.0)) for k in keys)
+    return {"ok": disc <= tol, "undefined": False, "classes": len(keys),
+            "z_before": z1, "z_after": z2, "max_discrepancy": disc}
+
+
+def _assert_renewal_matches_reference(g, w, f, g2, w2):
+    got = urban_renewal_check(g, w, f, g2, w2).as_dict()
+    want = _reference_renewal(g, w, f, g2, w2)
+    for key in ("ok", "undefined", "classes"):
+        assert got[key] == want[key], (key, f)
+    for key in ("z_before", "z_after"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0), (key, f)
+    assert abs(got["max_discrepancy"] - want["max_discrepancy"]) <= 1e-12, f
+
+
+def test_urban_renewal_matches_the_stored_matching_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.sampled_from([(2, 2), (2, 4), (4, 2), (2, 6)]),
+                      st.integers(min_value=0, max_value=2 ** 32 - 1),
+                      st.floats(min_value=0.0, max_value=0.8),
+                      st.sampled_from([1.0, 1.0, 1.01, 0.5, 2.0]),
+                      st.integers(min_value=0, max_value=7))
+    def check(shape, seed, spread, bump, pick):
+        rows, cols = shape
+        p = generate_kasteleyn_cauchy_data(rows, cols, seed=seed, spread=spread)
+        for f in range(rows * cols):
+            g, w, g2, w2 = _renewal_pair(p, f)
+            # a changed weight inside the move breaks renewal
+            inside = sorted(set(edge_neighbourhood(g2, f)) & set(w2))
+            w2[inside[pick % len(inside)]] *= bump
+            _assert_renewal_matches_reference(g, w, f, g2, w2)
+
+    check()
 
 
 def test_urban_renewal_rejects_outside_mismatch():
