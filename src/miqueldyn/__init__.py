@@ -1,4 +1,15 @@
-"""Circle pattern dynamics: mutation moves, star-ratios, dimer urban renewal."""
+"""Circle pattern dynamics: mutation moves, star-ratios, dimer urban renewal.
+
+The names this package takes from ``lattice`` (the torus state, the
+array sweep and octahedral propagation) are resolved on first access
+through ``__getattr__``.  ``lattice`` is the one module that needs
+numpy, and importing the two is most of the cost of ``import
+miqueldyn``; only ``gen-pattern`` and ``dynamics`` use them, so every
+other command starts without them.  The names are looked up on each
+access, never cached here, so ``miqueldyn.X is miqueldyn.lattice.X``
+holds also while ``lattice.X`` is rebound.  Every other submodule is
+imported eagerly.
+"""
 
 __version__ = "0.1.0"
 
@@ -53,19 +64,6 @@ from .clifford import (
     verify_cross_ratio_system,
     verify_shift_identities,
 )
-from .lattice import (
-    OctahedralPatch,
-    TorusPatternState,
-    direction_star_ratios,
-    generate_kasteleyn_cauchy_data,
-    make_torus_state,
-    miquel_dynamics_step,
-    octahedra_of,
-    patch_from_pattern,
-    propagate_octahedral,
-    torus_displacement,
-    transversal_star_ratios,
-)
 from .dimer import (
     MatchingEnsemble,
     UrbanRenewalReport,
@@ -99,3 +97,28 @@ from .jsonio import (
 )
 from .svg import pattern_to_svg
 from .cli import CommandResult, main, run_command
+
+_LATTICE_NAMES = frozenset((
+    "OctahedralPatch",
+    "TorusPatternState",
+    "direction_star_ratios",
+    "generate_kasteleyn_cauchy_data",
+    "make_torus_state",
+    "miquel_dynamics_step",
+    "octahedra_of",
+    "patch_from_pattern",
+    "propagate_octahedral",
+    "torus_displacement",
+    "transversal_star_ratios",
+))
+
+
+def __getattr__(name):
+    if name in _LATTICE_NAMES:
+        from . import lattice
+        return getattr(lattice, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | _LATTICE_NAMES)

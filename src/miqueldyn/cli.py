@@ -7,6 +7,7 @@ failure, 2 numeric degeneracy, 64 usage error.
 """
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -27,8 +28,6 @@ from .jsonio import (canonical_dumps, circle_from_json, clifford_config_to_json,
                      complex_from_json, complex_to_json, drawing_to_json,
                      open_text_atomic, pattern_from_json, pattern_to_json,
                      read_json, write_json_atomic, write_text_atomic)
-from .lattice import (generate_kasteleyn_cauchy_data, make_torus_state,
-                      miquel_dynamics_step)
 from .svg import DEFAULT_LAYERS, pattern_to_svg
 
 
@@ -49,6 +48,42 @@ def _parse_size(text: str):
     if not m:
         raise UsageError("--size must look like ROWSxCOLS, got %r" % text)
     return int(m.group(1)), int(m.group(2))
+
+
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text) from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
+    return x
+
+
+def _positive_float(text: str) -> float:
+    x = _finite_float(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError("must be > 0, got %r" % text)
+    return x
+
+
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a whole number: %r" % text) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %r" % text)
+    return n
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failure to write path as a usage error, as reads are."""
+    try:
+        yield
+    except OSError as err:
+        raise UsageError("cannot write %s: %s" % (path, err)) from err
 
 
 def _load_pattern(path: str):
@@ -90,10 +125,13 @@ def _cmd_validate(args):
 
 
 def _cmd_gen_pattern(args):
+    # lattice loads numpy; only this command and dynamics need either
+    from .lattice import generate_kasteleyn_cauchy_data
     rows, cols = _parse_size(args.size)
     p = generate_kasteleyn_cauchy_data(rows, cols, seed=args.seed,
                                        spread=args.spread)
-    write_json_atomic(args.out, pattern_to_json(p))
+    with _writing(args.out):
+        write_json_atomic(args.out, pattern_to_json(p))
     report = {
         "command": "gen-pattern",
         "rows": rows, "cols": cols,
@@ -129,7 +167,8 @@ def _cmd_star_ratios(args):
 def _cmd_miquel_move(args):
     p = _load_pattern(args.pattern)
     p2 = miquel_move(p, args.face)
-    write_json_atomic(args.out, pattern_to_json(p2))
+    with _writing(args.out):
+        write_json_atomic(args.out, pattern_to_json(p2))
     report = {
         "command": "miquel-move",
         "face": args.face,
@@ -143,7 +182,8 @@ def _cmd_miquel_move(args):
 def _cmd_clifford_move(args):
     p = _load_pattern(args.pattern)
     d2 = mobius_mutation_move(p.centers_drawing(), args.face)
-    write_json_atomic(args.out, drawing_to_json(d2))
+    with _writing(args.out):
+        write_json_atomic(args.out, drawing_to_json(d2))
     report = {
         "command": "clifford-move",
         "face": args.face,
@@ -154,6 +194,8 @@ def _cmd_clifford_move(args):
 
 
 def _cmd_dynamics(args):
+    from .lattice import (generate_kasteleyn_cauchy_data, make_torus_state,
+                          miquel_dynamics_step)
     rows, cols = _parse_size(args.size)
     if args.pattern is not None:
         p = _load_pattern(args.pattern)
@@ -164,7 +206,6 @@ def _cmd_dynamics(args):
         p = generate_kasteleyn_cauchy_data(rows, cols, seed=args.seed,
                                            spread=args.spread)
     state = make_torus_state(p, rows, cols)
-    os.makedirs(args.out, exist_ok=True)
     files = []
 
     def dump(index: int, pattern) -> str:
@@ -176,12 +217,14 @@ def _cmd_dynamics(args):
 
     # each step is serialised once: the text goes to its own file and is
     # streamed into trace.json, which appears only when every step is done
-    with open_text_atomic(os.path.join(args.out, "trace.json")) as trace:
-        trace.write("[" + dump(0, state.pattern))
-        for step in range(1, args.steps + 1):
-            state = miquel_dynamics_step(state)
-            trace.write("," + dump(step, state.pattern))
-        trace.write("]\n")
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+        with open_text_atomic(os.path.join(args.out, "trace.json")) as trace:
+            trace.write("[" + dump(0, state.pattern))
+            for step in range(1, args.steps + 1):
+                state = miquel_dynamics_step(state)
+                trace.write("," + dump(step, state.pattern))
+            trace.write("]\n")
     files.append("trace.json")
     report = {
         "command": "dynamics",
@@ -242,7 +285,8 @@ def _cmd_clifford_config(args):
         report["tetrahedron_residual"] = cross.tetrahedra
         report["menelaus"] = [complex_to_json(m1), complex_to_json(m2)]
     if args.out is not None:
-        write_json_atomic(args.out, clifford_config_to_json(cfg))
+        with _writing(args.out):
+            write_json_atomic(args.out, clifford_config_to_json(cfg))
         report["out"] = args.out
     return 0, report
 
@@ -253,7 +297,8 @@ def _cmd_export_svg(args):
     if not layers:
         raise UsageError("--layers needs at least one layer name")
     text = pattern_to_svg(p, layers)
-    write_text_atomic(args.out, text)
+    with _writing(args.out):
+        write_text_atomic(args.out, text)
     report = {
         "command": "export-svg",
         "layers": list(layers),
@@ -272,7 +317,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit the report as canonical JSON")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_positive_float, default=1e-9,
                         help="tolerance for validation checks")
 
     parser = _Parser(prog="miqueldyn",
@@ -290,8 +335,8 @@ def _build_parser() -> _Parser:
                         help="generate a torus pattern with real positive "
                              "star ratios")
     sp.add_argument("--size", required=True, help="ROWSxCOLS, both even")
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--spread", type=float, default=0.5,
+    sp.add_argument("--seed", type=_count, required=True)
+    sp.add_argument("--spread", type=_finite_float, default=0.5,
                     help="row/column spacing jitter, 0 gives the isoradial grid")
     sp.add_argument("--kasteleyn", action="store_true",
                     help="accepted for clarity; generated patterns always are")
@@ -319,10 +364,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("dynamics", parents=[common],
                         help="run full-sweep dynamics and write the trace")
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--steps", type=_count, required=True)
+    sp.add_argument("--seed", type=_count, default=0)
     sp.add_argument("--size", required=True, help="ROWSxCOLS, both even")
-    sp.add_argument("--spread", type=float, default=0.5)
+    sp.add_argument("--spread", type=_finite_float, default=0.5)
     sp.add_argument("--pattern", default=None,
                     help="start from this pattern instead of generating one")
     sp.add_argument("--out", required=True, help="output directory")

@@ -13,13 +13,15 @@ import json
 import math
 import os
 import tempfile
-from typing import Dict, Iterator, List, TextIO
+from typing import TYPE_CHECKING, Dict, Iterator, List, TextIO
 
 from .circle_pattern import CirclePattern, FaceDrawing
 from .errors import SchemaError
 from .geometry import Circle, INFINITY, is_infinite
-from .lattice import OctahedralPatch
 from .surface_graph import Edge, SurfaceGraph, validate_surface_graph
+
+if TYPE_CHECKING:
+    from .lattice import OctahedralPatch
 
 
 def _fmt_float(x: float) -> str:
@@ -336,7 +338,7 @@ def clifford_config_to_json(cfg) -> Dict:
 
 # -- octahedral patches -------------------------------------------------------
 
-def patch_to_json(patch: OctahedralPatch) -> Dict:
+def patch_to_json(patch: "OctahedralPatch") -> Dict:
     return {
         "window": [list(patch.window[0]), list(patch.window[1]),
                    list(patch.window[2])],
@@ -345,7 +347,9 @@ def patch_to_json(patch: OctahedralPatch) -> Dict:
     }
 
 
-def patch_from_json(d) -> OctahedralPatch:
+def patch_from_json(d) -> "OctahedralPatch":
+    # lattice brings in numpy, which no other reader or writer here needs
+    from .lattice import OctahedralPatch
     try:
         window = tuple((int(lo), int(hi)) for lo, hi in d["window"])
         if len(window) != 3:

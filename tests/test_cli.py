@@ -9,7 +9,7 @@ import pytest
 
 from conftest import corner_off_circles_pattern
 import miqueldyn
-from miqueldyn import cli
+from miqueldyn import cli, lattice
 from miqueldyn.cli import run_command
 from miqueldyn.jsonio import (canonical_dumps, drawing_from_json, pattern_from_json,
                               pattern_to_json, read_json, write_json_atomic)
@@ -207,6 +207,52 @@ def test_usage_errors():
     assert result.exit_code == 64
 
 
+def test_bad_numbers_are_usage_errors(tmp_path, pattern_file):
+    out = str(tmp_path / "never.json")
+    out_dir = str(tmp_path / "never")
+    gen = ["gen-pattern", "--size", "2x2", "--out", out]
+    dyn = ["dynamics", "--size", "2x2", "--out", out_dir]
+    for argv in (
+        ["validate", pattern_file, "--tol", "nan"],
+        ["validate", pattern_file, "--tol", "inf"],
+        ["validate", pattern_file, "--tol", "0"],
+        ["validate", pattern_file, "--tol", "-1e-9"],
+        ["check-urban-renewal", pattern_file, "--face", "5", "--tol", "nan"],
+        gen + ["--seed", "-1"],
+        gen + ["--seed", "1", "--spread", "inf"],
+        gen + ["--seed", "1", "--spread", "nan"],
+        dyn + ["--steps", "-2"],
+        dyn + ["--steps", "1", "--seed", "-1"],
+        dyn + ["--steps", "1", "--spread", "-inf"],
+    ):
+        # rejected while parsing, before --json is known
+        result = run(*argv)
+        assert result.exit_code == 64, argv
+        assert "error: usage" in result.report.splitlines(), argv
+    assert not os.path.exists(out)
+    assert not os.path.exists(out_dir)
+
+
+def test_write_failures_are_usage_errors(tmp_path, pattern_file):
+    # a path under a regular file cannot be written, also by root
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    for argv in (
+        ["gen-pattern", "--size", "2x2", "--seed", "1", "--out", out],
+        ["miquel-move", pattern_file, "--face", "5", "--out", out],
+        ["clifford-move", pattern_file, "--face", "5", "--out", out],
+        ["clifford-config", fourfold_config(tmp_path), "--out", out],
+        ["export-svg", pattern_file, "--out", out],
+        ["dynamics", "--size", "2x2", "--steps", "1", "--out", out],
+    ):
+        code, report = run_json(*argv)
+        assert code == 64, argv
+        assert report["error"] == "usage", argv
+        assert report["message"].startswith("cannot write %s: " % out), argv
+    assert blocker.read_text() == ""
+
+
 def test_degeneracy_exit_code(tmp_path):
     out = str(tmp_path / "bad.json")
     result = run("gen-pattern", "--size", "2x2", "--seed", "1",
@@ -218,14 +264,15 @@ def test_degeneracy_exit_code(tmp_path):
 def _dynamics_on_edited_centres(tmp_path, monkeypatch, edit, *flags):
     """dynamics from the 4x4 isoradial pattern, its state's centres
     edited after step 0 is written from the unedited pattern."""
-    real = cli.make_torus_state
+    real = lattice.make_torus_state
 
     def edited(p, rows, cols):
         state = real(p, rows, cols)
         edit(state.centers)
         return state
 
-    monkeypatch.setattr(cli, "make_torus_state", edited)
+    # dynamics imports make_torus_state from lattice when it runs
+    monkeypatch.setattr(lattice, "make_torus_state", edited)
     return run("dynamics", "--steps", "1", "--size", "4x4", "--spread", "0",
                "--out", str(tmp_path / "run"), *flags)
 
@@ -402,3 +449,78 @@ def test_console_script(tmp_path):
 def test_installed_console_script(tmp_path):
     """The wrapper that `pip install` puts on PATH works end to end."""
     _check_console_script([shutil.which("miqueldyn")], tmp_path)
+
+
+# the names miqueldyn takes from lattice on first access
+LATTICE_NAMES = ("OctahedralPatch", "TorusPatternState", "direction_star_ratios",
+                 "generate_kasteleyn_cauchy_data", "make_torus_state",
+                 "miquel_dynamics_step", "octahedra_of", "patch_from_pattern",
+                 "propagate_octahedral", "torus_displacement",
+                 "transversal_star_ratios")
+
+# Runs in a fresh interpreter: argv[1] is a JSON list of argument lists
+# that must not load numpy, the last line printed is a JSON summary.
+NO_NUMPY_CHILD = """
+import json, sys
+import miqueldyn
+from miqueldyn.cli import run_command
+
+def loaded():
+    return ["numpy" in sys.modules, "miqueldyn.lattice" in sys.modules]
+
+argvs = json.loads(sys.argv[1])
+codes = [run_command(argv).exit_code for argv in argvs[:-1]]
+before = loaded()
+codes.append(run_command(argvs[-1]).exit_code)
+print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
+"""
+
+
+def test_lattice_names_resolve_through_lattice(monkeypatch):
+    from miqueldyn import (OctahedralPatch, TorusPatternState,
+                           direction_star_ratios, generate_kasteleyn_cauchy_data,
+                           make_torus_state, miquel_dynamics_step, octahedra_of,
+                           patch_from_pattern, propagate_octahedral,
+                           torus_displacement, transversal_star_ratios)
+    imported = (OctahedralPatch, TorusPatternState, direction_star_ratios,
+                generate_kasteleyn_cauchy_data, make_torus_state,
+                miquel_dynamics_step, octahedra_of, patch_from_pattern,
+                propagate_octahedral, torus_displacement,
+                transversal_star_ratios)
+    listed = dir(miqueldyn)
+    for name, value in zip(LATTICE_NAMES, imported):
+        assert value is getattr(lattice, name)
+        assert getattr(miqueldyn, name) is getattr(lattice, name)
+        assert name in listed
+    # never cached: a rebinding in lattice shows through the package
+    monkeypatch.setattr(lattice, "make_torus_state", len)
+    assert miqueldyn.make_torus_state is len
+    with pytest.raises(AttributeError):
+        miqueldyn.no_such_name
+
+
+def test_only_array_commands_load_numpy(tmp_path, pattern_file):
+    """--version and the seven commands that never touch arrays run
+    without numpy or lattice; gen-pattern then loads both."""
+    out = str(tmp_path / "out")
+    argvs = [
+        ["--version"],
+        ["validate", pattern_file],
+        ["star-ratios", pattern_file],
+        ["export-svg", pattern_file, "--out", out + ".svg"],
+        ["miquel-move", pattern_file, "--face", "5", "--out", out + "1.json"],
+        ["clifford-move", pattern_file, "--face", "5", "--out", out + "2.json"],
+        ["clifford-config", fourfold_config(tmp_path), "--out", out + "3.json"],
+        ["check-urban-renewal", pattern_file, "--face", "5"],
+        ["gen-pattern", "--size", "2x2", "--seed", "1", "--out", out + "4.json"],
+    ]
+    source_root = str(Path(miqueldyn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["codes"] == [0] * len(argvs)
+    assert summary["before"] == [False, False]
+    assert summary["after"] == [True, True]
