@@ -23,7 +23,8 @@ from .clifford import (build_c3, build_c4, incidence_residual,
                        menelaus_multiratios, verify_cross_ratio_system,
                        verify_shift_identities)
 from .dimer import urban_renewal_check, weights_from_pattern
-from .errors import MiquelDynError, NumericDegeneracy, SchemaError, UsageError
+from .errors import (MiquelDynError, NotAGridTorus, NumericDegeneracy,
+                     SchemaError, UsageError)
 from .jsonio import (canonical_dumps, circle_from_json, clifford_config_to_json,
                      complex_from_json, complex_to_json, drawing_to_json,
                      open_text_atomic, pattern_from_json, pattern_to_json,
@@ -47,7 +48,10 @@ def _parse_size(text: str):
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
         raise UsageError("--size must look like ROWSxCOLS, got %r" % text)
-    return int(m.group(1)), int(m.group(2))
+    rows, cols = int(m.group(1)), int(m.group(2))
+    if rows % 2 or cols % 2 or rows < 2 or cols < 2:
+        raise UsageError("--size dimensions must be even and at least 2, got %r" % text)
+    return rows, cols
 
 
 def _finite_float(text: str) -> float:
@@ -205,7 +209,10 @@ def _cmd_dynamics(args):
     else:
         p = generate_kasteleyn_cauchy_data(rows, cols, seed=args.seed,
                                            spread=args.spread)
-    state = make_torus_state(p, rows, cols)
+    try:
+        state = make_torus_state(p, rows, cols)
+    except NotAGridTorus as err:
+        raise UsageError(str(err)) from err
     files = []
 
     def dump(index: int, pattern) -> str:

@@ -153,6 +153,10 @@ class WindowExhausted(MiquelDynError):
     pass
 
 
+class NotAGridTorus(MiquelDynError):
+    """A pattern's graph is not the square-grid torus of the asked shape."""
+
+
 class DegenerateRow(NumericDegeneracy):
     pass
 

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .circle_pattern import CirclePattern, FaceDrawing, validate_pattern
+from .circle_pattern import CirclePattern, validate_pattern
 from .errors import (
     ConsecutiveCoincidence,
     ConstructionFailure,
@@ -35,11 +35,14 @@ from .errors import (
     InfiniteCenter,
     MiquelDynError,
     MonodromyFailure,
+    NotAGridTorus,
     OctahedronRelationFailure,
     StencilDegenerate,
     WindowExhausted,
 )
 from .geometry import (
+    ABS_TOL,
+    REL_TOL,
     ExtendedComplex,
     apply_mobius,
     chordal,
@@ -47,7 +50,7 @@ from .geometry import (
     mobius_mutation,
     star_ratio,
 )
-from .surface_graph import _oadd, _osub, build_square_grid_torus, slot_alignment
+from .surface_graph import SurfaceGraph, build_square_grid_torus, validate_surface_graph
 
 LatticePoint = Tuple[int, int, int]
 Box = Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]
@@ -297,76 +300,222 @@ def make_torus_state(pattern: CirclePattern, rows: int, cols: int,
     across its edges towards periods[0] and periods[1]; vertex and edge
     ids and the walk frames may be anything.  The state's pattern is the
     given one until the first sweep.
+
+    What depends on the graph alone is worked out once per graph object
+    and kept in its memo: its validity, the walk incidence as index
+    arrays (_quad_index) and each face's frame in the chart
+    (_grid_frames).  Per pattern, _valid_centres makes the checks of
+    validate_pattern on arrays and the centres are lifted into the chart
+    in one expression.  Whenever the array checks do not vouch for the
+    pattern, validate_pattern runs and gives the diagnostics.
     """
     if rows % 2 or cols % 2:
         raise MiquelDynError("grid dimensions must be even")
-    problems = validate_pattern(pattern)
-    if problems:
-        raise MiquelDynError("invalid pattern: " + "; ".join(problems))
-    centers, anchor = _grid_chart(pattern, rows, cols)
+    values = _valid_centres(pattern)
+    if values is None:
+        problems = validate_pattern(pattern)
+        if problems:
+            raise MiquelDynError("invalid pattern: " + "; ".join(problems))
+    centers, anchor = _grid_chart(pattern, rows, cols, values)
     return TorusPatternState(centers, pattern.periods, anchor, step_parity % 2,
                              pattern)
 
 
-def _grid_chart(p: CirclePattern, rows: int, cols: int):
-    """Centres of a grid torus pattern in face 0's frame, and the anchor.
+class _QuadIndex(NamedTuple):
+    """The walk incidence of a graph of quad faces, as index arrays.
+
+    Faces and vertices are numbered by their place in face_ids and
+    vertex_ids, the sorted ids.  Edge e, in sorted id order, runs from
+    vertex minus[e] to plus[e] with offset[e].  Step k of face f's walk
+    starts at corners[f, k], with cover shift shifts[f, k] (face_shifts),
+    and has face nbrs[f, k] across it, align[f, k] its slot_alignment.
+    left, right and across are those of the one step that traverses
+    each edge forward.  Shared through the graph's memo: read-only.
+    """
+
+    face_ids: list
+    vertex_ids: list
+    minus: np.ndarray
+    plus: np.ndarray
+    offset: np.ndarray
+    corners: np.ndarray
+    shifts: np.ndarray
+    nbrs: np.ndarray
+    align: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    across: np.ndarray
+
+
+def _quad_index(g: SurfaceGraph) -> Optional[_QuadIndex]:
+    """The graph's _QuadIndex, None unless g is valid and every face is
+    a quad.  None is not memoised: that graph is worked out again, which
+    costs a scan of its walks."""
+    return g._memo("quad_index", lambda: _build_quad_index(g))
+
+
+def _build_quad_index(g: SurfaceGraph) -> Optional[_QuadIndex]:
+    if validate_surface_graph(g) or any(len(walk) != 4 for walk in g.faces.values()):
+        return None
+    face_ids, vertex_ids, edge_ids = sorted(g.faces), sorted(g.vertex_color), sorted(g.edges)
+    ends = np.array([(e.minus, e.plus) + e.offset for e in map(g.edges.get, edge_ids)])
+    minus = np.searchsorted(vertex_ids, ends[:, 0])
+    plus = np.searchsorted(vertex_ids, ends[:, 1])
+    offset = ends[:, 2:]
+    # steps[f, k] = (edge position, forward flag)
+    steps = np.array([g.faces[f] for f in face_ids])
+    e, fwd = np.searchsorted(edge_ids, steps[..., 0]), steps[..., 1].astype(bool)
+    corners = np.where(fwd, minus[e], plus[e])
+    walk = np.zeros((len(face_ids), 5, 2), dtype=int)
+    walk[:, 1:] = np.cumsum(np.where(fwd[..., None], offset[e], -offset[e]), axis=1)
+    # the other step along each edge: its two steps are 2e + forward
+    at = np.empty(2 * len(edge_ids), dtype=int)
+    at[2 * e + fwd] = np.arange(e.size).reshape(e.shape)
+    nbrs, p = np.divmod(at[2 * e + ~fwd], 4)
+    f, k = np.indices(e.shape)
+    near = np.where(fwd[..., None], walk[f, k], walk[f, k + 1])
+    far = np.where(fwd[..., None], walk[nbrs, p + 1], walk[nbrs, p])
+    align = near - far
+    return _QuadIndex(face_ids, vertex_ids, minus, plus, offset, corners,
+                      walk[:, :4], nbrs, align, f[fwd], nbrs[fwd], align[fwd])
+
+
+def _lift(shift: np.ndarray, periods) -> np.ndarray:
+    """shift[..., 0] periods[0] + shift[..., 1] periods[1], and exactly 0j
+    where the shift is (0, 0): circle_pattern._omega on arrays."""
+    ox, oy = periods
+    out = shift[..., 0] * ox + shift[..., 1] * oy
+    out[~shift.any(axis=-1)] = 0
+    return out
+
+
+def _values(points: dict, ids: list) -> Optional[np.ndarray]:
+    """points[i] for i in ids as a complex array; None if one is missing
+    or is not a number (INFINITY, say)."""
+    try:
+        return np.fromiter(map(points.__getitem__, ids), complex, len(ids))
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where geometry.close(a, b) is false; a NaN counts as close."""
+    return np.abs(a - b) > np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(a), np.abs(b)))
+
+
+PATTERN_RTOL = 1e-9  # the rtol make_torus_state validates with, validate_pattern's default
+
+
+def _valid_centres(p: CirclePattern) -> Optional[np.ndarray]:
+    """The centres by sorted face id if p passes every check of
+    validate_pattern, else None.
+
+    The checks and their arithmetic are validate_pattern's, each in the
+    frame of the face it belongs to, so acceptance means that
+    validate_pattern(p) is empty.  None only means that these checks do
+    not vouch for p: a value at INFINITY, a missing key, a graph that is
+    not all quads or has boundary faces, or any flagged or NaN residual.
+    """
+    q = _quad_index(p.graph)
+    if q is None or p.graph.boundary_faces or p.periods is None:
+        return None
+    V = _values(p.vertex_points, q.vertex_ids)
+    C = _values(p.center_points, q.face_ids)
+    if V is None or C is None:
+        return None
+    if not _apart(V[q.minus], V[q.plus] + _lift(q.offset, p.periods)).all():
+        return None
+    if not _apart(C[q.left], C[q.right] + _lift(q.across, p.periods)).all():
+        return None
+    radii = np.abs(V[q.corners] + _lift(q.shifts, p.periods) - C[:, None])
+    mean = (radii[:, 0] + radii[:, 1] + radii[:, 2] + radii[:, 3]) / 4
+    spread = radii.max(axis=1) - radii.min(axis=1)
+    if not ((mean != 0) & (spread <= PATTERN_RTOL * mean)).all():
+        return None
+    return C
+
+
+# east, north, west, south: slot m of face (i, j) is east_slot + m
+_GRID_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
+
+
+def _grid_frames(g: SurfaceGraph, rows: int, cols: int):
+    """Frame offsets of the faces of a valid grid torus graph, and face
+    0's east slot; NotAGridTorus if g is not the rows x cols grid.
 
     A face's east slot is the one whose neighbour is face (i, j+1); on
     the 2x2 torus, where the east and west neighbours are one face, it
     is the one that lifts that face one period[0] further than the west
     slot does.  Each face's frame offset from face 0's is accumulated
     along row 0 and then up the columns, never across a wrap, and every
-    slot of every face is checked against the grid before any value is
-    read.
+    slot of every face is checked against the grid.  Depends on the
+    graph only, so it runs once per graph and shape.
     """
-    g = p.graph
+    return g._memo(("grid_frames", rows, cols), lambda: _build_grid_frames(g, rows, cols))
+
+
+def _build_grid_frames(g: SurfaceGraph, rows: int, cols: int):
     n = rows * cols
     if g.surface != "torus" or sorted(g.faces) != list(range(n)):
-        raise MiquelDynError("not a %dx%d grid torus: face ids must be 0..%d"
-                             % (rows, cols, n - 1))
-    sides = g.edge_sides()
-    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))  # east, north, west, south
-    east = {}
-    for f, walk in g.faces.items():
-        i, j = divmod(f, cols)
-        want = [(i + di) % rows * cols + (j + dj) % cols for di, dj in steps]
-        got = [sides[eid][not fwd] for eid, fwd in walk]
-        found = [k for k in range(len(got))
-                 if len(got) == 4 and got[k:] + got[:k] == want]
-        if len(found) > 1:
-            found = [k for k in found
-                     if _osub(slot_alignment(g, f, k), slot_alignment(g, f, (k + 2) % 4))
-                     == (1, 0)]
-        if len(found) != 1:
-            raise MiquelDynError("not a %dx%d grid torus: face %d has neighbours %s"
-                                 % (rows, cols, f, got))
-        east[f] = found[0]
-
-    frame = {0: (0, 0)}
-    for f in range(1, n):
-        i, j = divmod(f, cols)
-        prev, step = (f - 1, 0) if i == 0 else (f - cols, 1)
-        frame[f] = _oadd(frame[prev], slot_alignment(g, prev, (east[prev] + step) % 4))
+        raise NotAGridTorus("not a %dx%d grid torus: face ids must be 0..%d"
+                            % (rows, cols, n - 1))
+    q = _quad_index(g)
+    if q is None:
+        f = next(f for f, walk in g.faces.items() if len(walk) != 4)
+        sides = g.edge_sides()
+        raise NotAGridTorus("not a %dx%d grid torus: face %d has neighbours %s"
+                            % (rows, cols, f, [sides[e][not fwd] for e, fwd in g.faces[f]]))
+    i, j = np.divmod(np.arange(n), cols)
+    want = np.stack([(i + di) % rows * cols + (j + dj) % cols
+                     for di, dj in _GRID_STEPS], axis=1)
+    wrap = np.stack([np.stack([(j + dj) // cols, (i + di) // rows], axis=-1)
+                     for di, dj in _GRID_STEPS], axis=1)
+    # match[f, k]: the neighbours from slot k on are the grid's from east on
+    match = np.stack([(np.roll(q.nbrs, -k, axis=1) == want).all(axis=1)
+                      for k in range(4)], axis=1)
+    east_lift = (q.align - np.roll(q.align, -2, axis=1) == (1, 0)).all(axis=-1)
+    match &= (match.sum(axis=1) == 1)[:, None] | east_lift
+    found = match.sum(axis=1) == 1
+    if not found.all():
+        f = next(f for f in g.faces if not found[f])
+        raise NotAGridTorus("not a %dx%d grid torus: face %d has neighbours %s"
+                            % (rows, cols, f, q.nbrs[f].tolist()))
+    east = match.argmax(axis=1)
+    # align of the east, north, west and south slots
+    align = q.align[np.arange(n)[:, None], (east[:, None] + np.arange(4)) % 4]
+    step = align.reshape(rows, cols, 4, 2)
+    frame = np.zeros((rows, cols, 2), dtype=int)
+    frame[0, 1:] = np.cumsum(step[0, :-1, 0], axis=0)
+    frame[1:] = frame[0] + np.cumsum(step[:-1, :, 1], axis=0)
+    frame = frame.reshape(n, 2)
     # the same offsets must hold across every edge, wraps included
-    for f in range(n):
-        i, j = divmod(f, cols)
-        for m, (di, dj) in enumerate(steps):
-            k = (east[f] + m) % 4
-            nb = (i + di) % rows * cols + (j + dj) % cols
-            wrap = ((j + dj) // cols, (i + di) // rows)
-            if _oadd(frame[f], slot_alignment(g, f, k)) != _oadd(frame[nb], wrap):
-                raise MiquelDynError(
-                    "not a %dx%d grid torus: face %d is not lifted to face %d "
-                    "along the grid" % (rows, cols, f, nb))
+    lifted = (frame[:, None] + align == frame[want] + wrap).all(axis=-1)
+    if not lifted.all():
+        f = int(np.flatnonzero(~lifted.all(axis=1))[0])
+        m = int(np.flatnonzero(~lifted[f])[0])
+        raise NotAGridTorus("not a %dx%d grid torus: face %d is not lifted to face %d "
+                            "along the grid" % (rows, cols, f, want[f, m]))
+    frame.flags.writeable = False
+    return frame, int(east[0])
 
-    drawing = FaceDrawing(g, p.center_points, p.periods)
-    centers = np.empty((rows, cols), dtype=complex)
-    for f in range(n):
-        c = drawing.lifted_value(f, frame[f])
-        if is_infinite(c):
-            raise InfiniteCenter("face %d: centre at infinity" % f, face=f)
-        centers[divmod(f, cols)] = c
-    anchor = p.lifted_face_vertices(0)[(east[0] - 1) % 4]
+
+def _grid_chart(p: CirclePattern, rows: int, cols: int,
+                values: Optional[np.ndarray]):
+    """Centres of a valid grid torus pattern in face 0's frame, and the
+    anchor, grid vertex (0, 0) there.
+
+    values are the centres by face id, or None to read them from p.  Every slot of every
+    face is checked against the grid (_grid_frames) before any value is
+    read.
+    """
+    frame, east = _grid_frames(p.graph, rows, cols)
+    if values is None:
+        for f in range(rows * cols):
+            if is_infinite(p.center_points[f]):
+                raise InfiniteCenter("face %d: centre at infinity" % f, face=f)
+        values = np.array([p.center_points[f] for f in range(rows * cols)], dtype=complex)
+    centers = (values + _lift(frame, p.periods)).reshape(rows, cols)
+    anchor = p.lifted_face_vertices(0)[(east - 1) % 4]
     if is_infinite(anchor):
         raise InfiniteCenter("face 0: corner at infinity", face=0)
     return centers, complex(anchor)
@@ -585,7 +734,7 @@ def generate_kasteleyn_cauchy_data(rows: int, cols: int, seed: int,
     for gap in dy:
         ys.append(ys[-1] + gap)
 
-    g = build_square_grid_torus(rows, cols)
+    g = _grid_graph(rows, cols)
     vertex_points = {i * cols + j: complex(xs[j], ys[i])
                      for i in range(rows) for j in range(cols)}
     center_points = {i * cols + j: complex((xs[j] + xs[j + 1]) / 2.0,

@@ -23,7 +23,7 @@ costs no whole-graph rebuild.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Hashable, List, Tuple
 
 from .errors import NotAValidQuad, OddDimensions
 
@@ -59,7 +59,9 @@ class SurfaceGraph:
     The incidence maps (edge_sides, step_index, vertex_edges,
     vertex_degrees and the per-face face_shifts) are built on first use
     or handed over by mutate_at_face, and are never mutated after
-    construction: callers must treat them as read-only.  The memo stays
+    construction: callers must treat them as read-only.  The same memo
+    holds the validate_surface_graph diagnostics and the array indices
+    of lattice, which mutate_at_face never hands over.  The memo stays
     out of ==, repr and dataclasses.replace, which starts a fresh one.
     """
 
@@ -68,10 +70,10 @@ class SurfaceGraph:
     edges: Dict[int, Edge]
     faces: Dict[int, Tuple[Step, ...]]
     boundary_faces: frozenset = field(default_factory=frozenset)
-    _maps: Dict[str, dict] = field(default_factory=dict, init=False,
-                                   repr=False, compare=False)
+    _maps: Dict[Hashable, object] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
-    def _memo(self, name: str, build: Callable[[], dict]) -> dict:
+    def _memo(self, name: Hashable, build: Callable[[], object]):
         m = self._maps.get(name)
         if m is None:
             m = self._maps[name] = build()
@@ -167,7 +169,16 @@ def _walk_shifts(edges: Dict[int, Edge], walk: Tuple[Step, ...]) -> List[Offset]
 
 
 def validate_surface_graph(g: SurfaceGraph, min_vertex_degree: int = 3) -> List[str]:
-    """Diagnostics for the surface-graph invariants; empty list when valid."""
+    """Diagnostics for the surface-graph invariants; empty list when valid.
+
+    They are worked out once per graph and min_vertex_degree; every call
+    returns a fresh list, which the caller may extend.
+    """
+    return list(g._memo(("validate_surface_graph", min_vertex_degree),
+                        lambda: tuple(_surface_graph_problems(g, min_vertex_degree))))
+
+
+def _surface_graph_problems(g: SurfaceGraph, min_vertex_degree: int) -> List[str]:
     out: List[str] = []
     if g.surface not in ("sphere", "torus", "plane-patch"):
         out.append("unknown surface tag %r" % (g.surface,))

@@ -148,6 +148,35 @@ def test_dynamics_from_pattern_file(tmp_path, pattern_file):
                "--pattern", pattern_file, "--out", out).exit_code == 64
 
 
+def test_odd_or_small_sizes_are_usage_errors(tmp_path):
+    out = str(tmp_path / "never.json")
+    out_dir = str(tmp_path / "never")
+    for size in ("3x3", "0x0", "2x3", "1x2", "0x4"):
+        for argv in (["gen-pattern", "--size", size, "--seed", "0", "--out", out],
+                     ["dynamics", "--size", size, "--steps", "1", "--out", out_dir]):
+            code, report = run_json(*argv)
+            assert code == 64, argv
+            assert report == {"error": "usage", "message": "--size dimensions must "
+                              "be even and at least 2, got %r" % size}, argv
+    assert not os.path.exists(out)
+    assert not os.path.exists(out_dir)
+
+
+def test_pattern_of_another_grid_shape_is_a_usage_error(tmp_path):
+    wide = str(tmp_path / "wide.json")
+    assert run("gen-pattern", "--size", "2x10", "--seed", "0", "--out", wide).exit_code == 0
+    out = str(tmp_path / "run")
+    # same face count, transposed shape: the graph is not a 10x2 grid
+    code, report = run_json("dynamics", "--steps", "1", "--size", "10x2",
+                            "--pattern", wide, "--out", out)
+    assert code == 64
+    assert report == {"error": "usage", "message": "not a 10x2 grid torus: "
+                      "face 0 has neighbours [10, 1, 10, 9]"}
+    assert not os.path.exists(out)
+    assert run("dynamics", "--steps", "1", "--size", "2x10",
+               "--pattern", wide, "--out", out).exit_code == 0
+
+
 def test_export_svg_layer_counts(tmp_path, pattern_file):
     out = str(tmp_path / "p.svg")
     assert run("export-svg", pattern_file, "--layers", "centers,dual",
