@@ -10,6 +10,7 @@ position, and slot_alignment shifts translate between adjacent charts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,15 +28,14 @@ from .errors import (
     NumericDegeneracy,
 )
 from .geometry import (
+    COINCIDE_RTOL,
     INFINITY,
     Circle,
-    apply_mobius,
-    circle_center_of,
     circumcircle,
     close,
     intersect_circles,
     is_infinite,
-    mobius_mutation,
+    mutate_about,
     reflect_in_line,
 )
 from .surface_graph import (
@@ -170,6 +170,11 @@ class CirclePattern:
         return Circle.make_circle(c, sum(rs) / len(rs))
 
 
+def _finite(z) -> bool:
+    """INFINITY, or a point with finite coordinates (not NaN)."""
+    return is_infinite(z) or (math.isfinite(z.real) and math.isfinite(z.imag))
+
+
 def validate_pattern(p: CirclePattern, rtol: float = 1e-9) -> List[str]:
     """Diagnostics for the circle pattern axioms; empty when valid."""
     from .surface_graph import validate_surface_graph
@@ -183,11 +188,15 @@ def validate_pattern(p: CirclePattern, rtol: float = 1e-9) -> List[str]:
     for v in g.vertex_color:
         if v not in p.vertex_points:
             out.append("vertex %d has no position" % v)
+        elif not _finite(p.vertex_points[v]):
+            out.append("vertex %d has a non-finite position" % v)
     for f in g.faces:
         if f in g.boundary_faces:
             continue
         if f not in p.center_points:
             out.append("face %d has no centre" % f)
+        elif not _finite(p.center_points[f]):
+            out.append("face %d has a non-finite centre" % f)
     if out:
         return out
 
@@ -317,72 +326,36 @@ def propagate_from_centers(d: FaceDrawing, seed_vertex: int, seed_value) -> Circ
     return CirclePattern(g, values, dict(d.values), d.periods)
 
 
-def _not_collinear_check(centers: List[object]) -> None:
-    fin = [c for c in centers if not is_infinite(c)]
-    if len(fin) < 3:
-        raise CollinearCenters("too few finite centres")
-    a = fin[0]
-    b = next((c for c in fin[1:] if not close(c, a)), None)
-    if b is None:
-        raise CollinearCenters("centres coincide")
-    if len(fin) < len(centers):
-        # an infinite centre lies on every line; demand a finite witness
-        line = Circle.make_line(a, b)
-        scale = max(abs(c - a) for c in fin)
-        if all(line.distance_to(c) <= 1e-12 * max(1.0, scale) for c in fin):
-            raise CollinearCenters("centres lie on one line")
-        return
-    line = Circle.make_line(a, b)
-    scale = max(abs(c - a) for c in fin)
-    if all(line.distance_to(c) <= 1e-12 * max(1.0, scale) for c in fin):
-        raise CollinearCenters("centres lie on one line")
+def local_miquel(center, n_centers: List[object], corners: List[object],
+                 spread: float, tol: float = 1e-6):
+    """New corners and centre of one Miquel move, in the face's frame.
 
-
-def local_miquel(neighbours: List[Circle], corners: List[object],
-                 tol: float = 1e-8):
-    """Second intersections and the new circle of one local Miquel move.
-
-    corners[k] must be a common point of neighbours[k] and
-    neighbours[k+1]; the returned points are the other intersections
-    (tangency keeps the corner), followed by their circumcircle.  A
-    measured failure carries the residual distance, the tolerance and
-    the scale it is relative to: residual > tolerance * scale.
+    n_centers[k] is the slot-k neighbour's centre and corners[k] the
+    corner it shares with neighbour k+1.  The new centre is
+    mutate_about(center, *n_centers).  New corner k, the second
+    intersection of the circles k and k+1, is corner k reflected in the
+    line through their centres (for a line: perpendicular to it).  Each
+    neighbour centre (a line's: center) must be equidistant from the
+    two corners on its circle, to tol * spread.
     """
-    second: List[object] = []
+    # chord k, shared with neighbour k, runs from corner k-1 to corner k
+    chord = [abs(_point_gap(corners[k], a) - _point_gap(corners[k - 1], a))
+             for k, a in enumerate(center if is_infinite(z) else z for z in n_centers)]
     for k in range(4):
-        c1, c2 = neighbours[k], neighbours[(k + 1) % 4]
-        pts = intersect_circles(c1, c2)
-        ik = corners[k]
-        if not pts:
-            raise NumericalTangencyAmbiguity(
-                "neighbour circles %d and %d do not meet" % (k, (k + 1) % 4)
-            )
-        if len(pts) == 1:
-            second.append(ik)
-            continue
-        d0 = _point_gap(pts[0], ik)
-        d1 = _point_gap(pts[1], ik)
-        near, far = (pts[0], pts[1]) if d0 <= d1 else (pts[1], pts[0])
-        scale = max(1.0, _config_scale([p for p in pts if not is_infinite(p)] +
-                                       ([] if is_infinite(ik) else [ik])))
-        gap = _point_gap(near, ik)
-        if gap > 1e-6 * scale:
+        gap = max(chord[k], chord[(k + 1) % 4])
+        if not gap <= tol * spread:  # NaN too
             raise NumericalTangencyAmbiguity(
                 "corner %d is not an intersection of its circles" % k,
-                residual=gap, tolerance=1e-6, scale=scale)
-        second.append(far)
-    tri = [second[0], second[1], second[2]]
-    new_circle = circumcircle(*tri)
-    if new_circle.is_line():
-        scale = _config_scale([q for q in second[:3] if not is_infinite(q)])
-    else:
-        scale = new_circle.radius
-    scale = max(1.0, scale)
-    gap = new_circle.distance_to(second[3])
-    if gap > tol * scale:
-        raise ConstructionFailure("fourth second-intersection is not concyclic",
-                                  residual=gap, tolerance=tol, scale=scale)
-    return second, new_circle
+                residual=gap, tolerance=tol, scale=spread)
+    second: List[object] = []
+    for k in range(4):
+        a, b = n_centers[k], n_centers[(k + 1) % 4]
+        if is_infinite(a):    # neighbour k is the line through corners k-1, k
+            a = b + 1j * (corners[k] - corners[k - 1])
+        elif is_infinite(b):  # neighbour k+1 is the line through corners k, k+1
+            b = a + 1j * (corners[(k + 1) % 4] - corners[k])
+        second.append(reflect_in_line(corners[k], a, b))
+    return second, mutate_about(center, *n_centers)
 
 
 def _point_gap(a, b) -> float:
@@ -394,18 +367,14 @@ def _point_gap(a, b) -> float:
     return abs(a - b)
 
 
-def _config_scale(pts: List[complex]) -> float:
-    if len(pts) < 2:
-        return 1.0
-    return max(abs(p - q) for p in pts for q in pts)
-
-
-def _lifted_neighbour_circle(p: CirclePattern, f: int, k: int, n: int) -> Circle:
-    circ = p.face_circle(n)
-    shift = _omega(p.periods, slot_alignment(p.graph, f, k))
-    if circ.is_line():
-        return Circle.make_line(circ.p + shift, circ.q + shift)
-    return Circle.make_circle(circ.center + shift, circ.radius)
+def _moved_values(values, f: int, value, rec, periods: Periods) -> Dict[int, object]:
+    """values with f's set to value and every re-anchored face in its new frame."""
+    out = dict(values)
+    out[f] = value
+    for fid, delta in rec.anchor_shift.items():
+        if not is_infinite(out[fid]):
+            out[fid] -= _omega(periods, delta)
+    return out
 
 
 def miquel_move(p: CirclePattern, f: int) -> CirclePattern:
@@ -414,39 +383,41 @@ def miquel_move(p: CirclePattern, f: int) -> CirclePattern:
 
 
 def miquel_move_full(p: CirclePattern, f: int):
-    """Miquel move at a valid face f.
-
-    Replaces the four vertices of f by the second intersections of the
-    cyclically adjacent neighbour circles, the circle of f by the circle
-    through those points, and performs the 4-mutation underneath.
-    Returns (pattern, mutation record).
+    """Miquel move at a valid face f (local_miquel), and the 4-mutation
+    underneath.  Every check is relative to the spread: the largest
+    distance of a finite centre of f or a neighbour from the first one.
+    So the move commutes with similarities.  Returns (pattern,
+    mutation record).
     """
     g = p.graph
-    slots = _quad_slots(g, f)
+    _quad_slots(g, f)
     shifts = g.face_shifts(f)
     cf = p.center_points[f]
     # the centre dict is only read here, so it is shared, not copied
     cd = FaceDrawing(g, p.center_points, p.periods)
     n_centers = [cd.slot_value(f, k) for k in range(4)]
+    fin = [z for z in [cf] + n_centers if not is_infinite(z)]
+    spread = max((abs(z - fin[0]) for z in fin), default=0.0)
     for k in range(4):
-        if close(n_centers[k], n_centers[(k + 1) % 4]):
+        if close(n_centers[k], n_centers[(k + 1) % 4], COINCIDE_RTOL * spread, 0.0):
             raise InvalidFace("consecutive neighbour centres of face %d coincide" % f)
-        if close(n_centers[k], cf):
+        if close(n_centers[k], cf, COINCIDE_RTOL * spread, 0.0):
             raise InvalidFace("neighbour centre equals the centre of face %d" % f)
-    _not_collinear_check([cf] + n_centers)
+    # the finite centres must not lie on one line (an infinite one is on every line)
+    far = max(fin, key=lambda z: abs(z - fin[0]))
+    axis = (far - fin[0]) / spread
+    off = max(abs(((z - fin[0]) * axis.conjugate()).imag) for z in fin)
+    if off <= 1e-12 * spread:
+        raise CollinearCenters("face %d: centres lie on one line" % f, face=f,
+                               residual=off, tolerance=1e-12, scale=spread)
 
-    n_circles = [_lifted_neighbour_circle(p, f, k, slots[k]) for k in range(4)]
-    corners = [g.step_end(s) for s in g.faces[f]]
-    lifted_corner = []
-    for k in range(4):
-        z = p.vertex_points[corners[k]]
-        lifted_corner.append(z if is_infinite(z) else z + _omega(p.periods, shifts[k + 1]))
-
+    corners = [p.vertex_points[g.step_end(s)] for s in g.faces[f]]
+    corners = [z if is_infinite(z) else z + _omega(p.periods, shifts[k + 1])
+               for k, z in enumerate(corners)]
     try:
-        second, new_circle = local_miquel(n_circles, lifted_corner)
+        second, new_center = local_miquel(cf, n_centers, corners, spread)
     except NumericDegeneracy as exc:
         raise type(exc)("face %d: %s" % (f, exc), **dict(exc.fields(), face=f)) from exc
-    new_center_old_frame = circle_center_of(new_circle)
 
     g2, rec = mutate_at_face(g, f)
     new_vertices = p.vertex_points.copy()
@@ -461,39 +432,24 @@ def miquel_move_full(p: CirclePattern, f: int):
         else:
             kept = new_vertices[cid]
             kept_l = kept if is_infinite(kept) else kept + _omega(p.periods, tau)
-            scale = max(1.0, _config_scale([q for q in lifted_corner
-                                            if not is_infinite(q)]))
             gap = _point_gap(kept_l, second[k])
-            if gap > 1e-7 * scale:
+            if gap > 1e-7 * spread:
                 raise ConstructionFailure(
                     "face %d: second intersection at corner %d misses the leg vertex"
-                    % (f, k), face=f, residual=gap, tolerance=1e-7, scale=scale)
+                    % (f, k), face=f, residual=gap, tolerance=1e-7, scale=spread)
 
-    new_centers = p.center_points.copy()
-    new_centers[f] = new_center_old_frame
-    for fid, delta in rec.anchor_shift.items():
-        c = new_centers[fid]
-        if not is_infinite(c):
-            new_centers[fid] = c - _omega(p.periods, delta)
+    new_centers = _moved_values(p.center_points, f, new_center, rec, p.periods)
     return CirclePattern(g2, new_vertices, new_centers, p.periods), rec
 
 
 def mobius_mutation_move(d: FaceDrawing, f: int) -> FaceDrawing:
     """Centre-only mutation move: the face value maps through the
-    mutation Mobius map of its four lifted neighbour values."""
-    g = d.graph
-    _quad_slots(g, f)
-    nvals = [d.slot_value(f, k) for k in range(4)]
-    m = mobius_mutation(*nvals)
-    new_val = apply_mobius(m, d.values[f])
-    g2, rec = mutate_at_face(g, f)
-    out = dict(d.values)
-    out[f] = new_val
-    for fid, delta in rec.anchor_shift.items():
-        c = out[fid]
-        if not is_infinite(c):
-            out[fid] = c - _omega(d.periods, delta)
-    return FaceDrawing(g2, out, d.periods)
+    mutation Mobius map of its four lifted neighbour values
+    (mutate_about)."""
+    _quad_slots(d.graph, f)
+    new_val = mutate_about(d.values[f], *(d.slot_value(f, k) for k in range(4)))
+    g2, rec = mutate_at_face(d.graph, f)
+    return FaceDrawing(g2, _moved_values(d.values, f, new_val, rec, d.periods), d.periods)
 
 
 def clifford_point_geometric(d: FaceDrawing, f: int, tol: float = 1e-8):
@@ -512,14 +468,14 @@ def clifford_point_geometric(d: FaceDrawing, f: int, tol: float = 1e-8):
     js = [d.slot_value(f, k) for k in range(4)]
     pts = [base] + js
     fin = [q for q in pts if not is_infinite(q)]
-    scale = _config_scale(fin)
+    scale = max([1.0] + [abs(a - b) for a in fin for b in fin])
     if len(fin) == 5:
         try:
             circ = circumcircle(pts[0], pts[1], pts[2])
         except Exception:
             circ = None
         if circ is not None and all(
-            circ.distance_to(q) <= 1e-10 * max(1.0, scale) for q in pts
+            circ.distance_to(q) <= 1e-10 * scale for q in pts
         ):
             raise ConcyclicDegenerate("the five points lie on one circle")
 
@@ -562,12 +518,12 @@ def clifford_point_geometric(d: FaceDrawing, f: int, tol: float = 1e-8):
         if res < best_res:
             best, best_res = cand, res
     if is_infinite(best):
-        if best_res <= tol * max(1.0, scale):
+        if best_res <= tol * scale:
             return INFINITY
         raise ConstructionFailure("no common point of the derived circles")
     matched = [best]
     for hits in pair_hits[1:]:
         matched.append(min(hits, key=lambda h: _point_gap(best, h)))
-    if any(is_infinite(m) for m in matched) or best_res > tol * max(1.0, scale):
+    if any(is_infinite(m) for m in matched) or best_res > tol * scale:
         raise ConstructionFailure("derived circles do not concur within tolerance")
     return sum(matched) / 4.0

@@ -1,11 +1,11 @@
 """Projective scalar kernel on the Riemann sphere.
 
 All ratio-type quantities (cross-ratio, multi-ratio, star-ratio) and the
-mutation Mobius map are evaluated through homogeneous coordinates
-(zeta, w), with the point at infinity represented as (1, 0).  Every
-pairwise difference a - b enters formulas only through the bilinear form
-n(a, b) = zeta_a w_b - zeta_b w_a, so points at infinity never require
-special branches and cancellation of the common denominators is exact.
+mutation Mobius map are evaluated through homogeneous coordinates (zeta,
+w), the point at infinity being (1, 0); only mutate_about moves a finite
+point relative to itself.  Each difference a - b enters formulas only as
+n(a, b) = zeta_a w_b - zeta_b w_a, so points at infinity need no special
+branches and cancellation of the common denominators is exact.
 
 Finite points are plain Python complex numbers; INFINITY is a module
 level singleton.
@@ -13,6 +13,7 @@ level singleton.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Tuple, Union
@@ -30,6 +31,10 @@ ABS_TOL = 1e-12
 REL_TOL = 1e-9
 # relative triangle area below which three points count as collinear
 COLLINEAR_REL = 1e-10
+# Tolerances of the mutation kernel, in units of the spread: the largest
+# distance of the four mutation values from the point they move.
+COINCIDE_RTOL = 1e-12     # gap between consecutive values
+DETERMINANT_RTOL = 1e-14  # |det| of the mutation map
 
 
 class _Infinity:
@@ -219,6 +224,42 @@ def mobius_mutation(z1, z2, z3, z4) -> MobiusMap:
     if scale == 0 or abs(m.det()) <= 1e-14 * scale * scale:
         raise DegenerateMap("mutation map has numerically vanishing determinant")
     return m
+
+
+def mutation_coefficients(u1, u2, u3, u4):
+    """(C2, C3, |C2^2 + C1 C3| = |det|) of mobius_mutation, on scalars or arrays."""
+    c1 = u1 - u2 + u3 - u4
+    c2 = u1 * u3 - u2 * u4
+    c3 = u2 * u4 * (u1 + u3) - u1 * u3 * (u2 + u4)
+    return c2, c3, abs(c2 * c2 + c1 * c3)
+
+
+def mutate_about(c, z1, z2, z3, z4) -> ExtendedComplex:
+    """apply_mobius(mobius_mutation(z1, z2, z3, z4), c), evaluated about c.
+
+    With all values finite the map runs on u_k = (z_k - c) / s, s the
+    spread max |z_k - c|, where it sends 0 to -C3/C2; the result and the
+    COINCIDE_RTOL and DETERMINANT_RTOL tests commute with similarities.
+    A value at INFINITY takes the homogeneous path; a NaN a ValueError.
+    """
+    zs = (z1, z2, z3, z4)
+    if any(is_infinite(v) for v in (c,) + zs):
+        return apply_mobius(mobius_mutation(*zs), c)
+    if not all(cmath.isfinite(v) for v in (c,) + zs):
+        raise ValueError("finite ExtendedComplex values must have finite coordinates")
+    w = [complex(z) - c for z in zs]
+    spread = max(abs(x) for x in w)
+    u = [x / spread for x in w] if spread else w
+    gap = min(abs(u[k] - u[k - 1]) for k in range(4))
+    if gap <= COINCIDE_RTOL:
+        raise ConsecutiveCoincidence("consecutive mutation values coincide", residual=gap,
+                                     tolerance=COINCIDE_RTOL, scale=spread)
+    c2, c3, det = mutation_coefficients(*u)
+    if det <= DETERMINANT_RTOL:
+        raise DegenerateMap("mutation map has numerically vanishing determinant",
+                            residual=det, tolerance=DETERMINANT_RTOL, scale=spread)
+    new = c - spread * (c3 / c2) if c2 else INFINITY
+    return new if is_infinite(new) or cmath.isfinite(new) else INFINITY
 
 
 def mobius_maps_equal(m1: MobiusMap, m2: MobiusMap, rtol: float = REL_TOL) -> bool:

@@ -164,7 +164,10 @@ def complex_from_json(v):
     if v == "inf":
         return INFINITY
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        z = complex(float(v[0]), float(v[1]))
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise SchemaError("non-finite coordinate in %r" % (v,))
+        return z
     raise SchemaError("expected [re, im] or \"inf\", got %r" % (v,))
 
 

@@ -15,8 +15,9 @@ centers of every face of one parity class: the centres of the circles
 form a Clifford lattice.  So on the square-grid torus the centres are
 the whole state, and miquel_dynamics_step is one array recurrence over
 them; vertices are reflected out of one anchor vertex only when a
-pattern is read.  The graph-level miquel_move stays the reference for
-single moves and the oracle the sweep is tested against.
+pattern is read.  The graph-level miquel_move shares the sweep's kernel,
+so it checks the sweep's charts and vertices; the oracle for a moved
+centre is the homogeneous apply_mobius(mobius_mutation(...)).
 """
 
 import functools
@@ -42,12 +43,15 @@ from .errors import (
 )
 from .geometry import (
     ABS_TOL,
+    COINCIDE_RTOL,
+    DETERMINANT_RTOL,
     REL_TOL,
     ExtendedComplex,
     apply_mobius,
     chordal,
     is_infinite,
     mobius_mutation,
+    mutation_coefficients,
     star_ratio,
 )
 from .surface_graph import SurfaceGraph, build_square_grid_torus, validate_surface_graph
@@ -235,9 +239,8 @@ def torus_displacement(a, b, periods) -> float:
 # -- Miquel dynamics on the square-grid torus ------------------------------
 
 # Tolerances of the array sweep.  Each is relative, so a sweep commutes
-# with translating, scaling and rotating the pattern.
-COINCIDE_RTOL = 1e-12     # consecutive neighbour gap / spread of the five centres
-DETERMINANT_RTOL = 1e-14  # |det| of the mutation map in units of that spread
+# with translating, scaling and rotating the pattern.  The kernel's two,
+# COINCIDE_RTOL and DETERMINANT_RTOL, are geometry's.
 VERTEX_RTOL = 1e-9        # closure and concyclicity gaps / radius of the face
 
 
@@ -555,8 +558,8 @@ def _mutated_centers(C: np.ndarray, nbrs: np.ndarray, ids: np.ndarray) -> np.nda
     nbrs[k] are the lifted neighbour centres z_k in cyclic order and ids
     the face ids of the entries.  The map is evaluated with
     w_k = z_k - C in units of the spread s = max |w_k|, where it sends 0
-    to -c3(w) / c2(w); this is apply_mobius(mobius_mutation(z_1..z_4), C)
-    without the cancellation of large coordinates.
+    to -c3(w) / c2(w): geometry.mutate_about over arrays, with a moved
+    centre at infinity an error.
     """
     w = nbrs - C
     spread = np.abs(w).max(axis=0)
@@ -566,11 +569,7 @@ def _mutated_centers(C: np.ndarray, nbrs: np.ndarray, ids: np.ndarray) -> np.nda
     if bad.any():
         _raise_at(ConsecutiveCoincidence, "consecutive neighbour centres coincide",
                   bad, ids, gap, COINCIDE_RTOL, spread)
-    u1, u2, u3, u4 = u
-    c1 = u1 - u2 + u3 - u4
-    c2 = u1 * u3 - u2 * u4
-    c3 = u2 * u4 * (u1 + u3) - u1 * u3 * (u2 + u4)
-    det = np.abs(c2 * c2 + c1 * c3)
+    c2, c3, det = mutation_coefficients(*u)
     bad = det <= DETERMINANT_RTOL
     if bad.any():
         _raise_at(DegenerateMap, "mutation map has numerically vanishing determinant",

@@ -553,3 +553,15 @@ def test_only_array_commands_load_numpy(tmp_path, pattern_file):
     assert summary["codes"] == [0] * len(argvs)
     assert summary["before"] == [False, False]
     assert summary["after"] == [True, True]
+
+
+def test_validate_refuses_a_nan_centre(tmp_path, pattern_file):
+    blob = read_json(pattern_file)
+    blob["centers"]["5"] = ["NaN", 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(blob))
+    result = run("validate", str(path))
+    assert result.exit_code != 0
+    assert "ok: True" not in result.report
+    code, report = run_json("validate", str(path))
+    assert code != 0 and report["error"] == "SchemaError"

@@ -5,6 +5,7 @@ from miqueldyn.errors import (
     CoincidentAnchors,
     CoincidentPoints,
     ConsecutiveCoincidence,
+    DegenerateMap,
     IdenticalCircles,
     IndeterminateRatio,
 )
@@ -23,6 +24,8 @@ from miqueldyn.geometry import (
     mobius_maps_equal,
     mobius_mutation,
     multi_ratio,
+    mutate_about,
+    mutation_coefficients,
     reflect_in_line,
     star_ratio,
 )
@@ -282,3 +285,53 @@ def test_reflect_in_line_involution():
         if close(a, b):
             continue
         assert close(reflect_in_line(reflect_in_line(z, a, b), a, b), z)
+
+
+def test_mutate_about_is_the_homogeneous_map():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        c, *zs = (_rpt(rng) for _ in range(5))
+        want = apply_mobius(mobius_mutation(*zs), c)
+        assert abs(mutate_about(c, *zs) - want) <= 1e-9 * max(1.0, abs(want))
+    # a value at infinity takes the homogeneous path itself
+    for args in [(INFINITY, 1, 1j, -1, -1j), (0.3j, INFINITY, 1j, -1, -1j),
+                 (0.2, 1, 1j, INFINITY, -1j)]:
+        assert mutate_about(*args) == apply_mobius(mobius_mutation(*args[1:]), args[0])
+    # the pole of the map is the point at infinity
+    assert mutate_about(0j, 1, 1j, -1, -1j) == 0j
+    assert mutate_about(0j, 1, 1j, 2, -2j) is INFINITY
+    with pytest.raises(ValueError):
+        mutate_about(complex(float("nan"), 0), 1, 1j, -1, -1j)
+
+
+def test_mutate_about_commutes_with_similarities():
+    rng = np.random.default_rng(72)
+    for _ in range(100):
+        c, *zs = (_rpt(rng) for _ in range(5))
+        a = 10.0 ** rng.uniform(-5, 5) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        t = complex(*rng.uniform(-1e6, 1e6, 2))
+        moved = mutate_about(a * (c + t), *(a * (z + t) for z in zs))
+        assert abs(moved - a * (mutate_about(c, *zs) + t)) <= 1e-8 * abs(a)
+
+
+def test_mutate_about_degeneracy_is_relative():
+    # a gap of 1e-7 of the spread, far from the origin
+    at = [1e6 + 0j, 1e6 + 1, 1e6 + 1 + 1e-7j, 1e6 - 1, 1e6 - 1j]
+    with pytest.raises(ConsecutiveCoincidence):
+        mobius_mutation(*at[1:])
+    assert not is_infinite(mutate_about(*at))
+    with pytest.raises(ConsecutiveCoincidence) as info:
+        mutate_about(0j, 1, 1 + 1e-13, -1, -1j)
+    assert info.value.tolerance == 1e-12 and info.value.scale == pytest.approx(1.0)
+    with pytest.raises(DegenerateMap):
+        mutate_about(0j, 1, 1 + 1e-4, 1 + 2e-4, 1 + 3e-4)
+
+
+def test_mutation_coefficients_run_on_arrays():
+    rng = np.random.default_rng(73)
+    u = rng.normal(size=(4, 50)) + 1j * rng.normal(size=(4, 50))
+    arrays = mutation_coefficients(*u)
+    for m in range(50):
+        scalars = mutation_coefficients(*(complex(x) for x in u[:, m]))
+        for x, y in zip(arrays, scalars):
+            assert abs(x[m] - y) <= 1e-13 * max(1.0, abs(y))

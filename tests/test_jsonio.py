@@ -306,3 +306,10 @@ def test_emitter_matches_the_recursive_reference():
         assert _outcome(canonical_dumps, obj) == _outcome(_reference_dumps, obj)
 
     check()
+
+
+def test_complex_from_json_refuses_non_finite_coordinates():
+    for bad in (["NaN", 0.0], [0.0, float("nan")], [float("inf"), 0.0], ["-inf", 1.0]):
+        with pytest.raises(SchemaError):
+            complex_from_json(bad)
+    assert complex_from_json("inf") is INFINITY
